@@ -430,19 +430,19 @@ func litesForParallelBench(b *testing.B, n int) []cluster.Lite {
 	return lites
 }
 
-// BenchmarkAnalyzeEpochParallel is the committed scaling benchmark for the
-// sharded epoch-analysis engine: one full AnalyzeEpoch (sharded table build,
+// BenchmarkAnalyzeEpochParallel is the scaling benchmark for the sharded
+// epoch-analysis engine: one full AnalyzeEpoch (sharded table build,
 // tree merge, per-metric critical detection fan-out) per iteration, with the
 // worker count following GOMAXPROCS so `go test -cpu 1,2,4,8` sweeps the
-// shard count. scripts/bench.sh's scaling mode records it as BENCH_sharded.
+// shard count.
 func BenchmarkAnalyzeEpochParallel(b *testing.B) {
 	for _, n := range []int{100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
 			lites := litesForParallelBench(b, n)
 			_, coreCfg := benchConfig()
 			coreCfg.Workers = runtime.GOMAXPROCS(0)
-			// One untimed epoch warms the shard-table pool so the committed
-			// numbers measure the steady state (a long-running monitor reuses
+			// One untimed epoch warms the shard-table pool so the numbers
+			// measure the steady state (a long-running monitor reuses
 			// pooled tables every epoch), not the first-epoch cold allocation
 			// of W shard arrays.
 			if _, err := core.AnalyzeEpoch(10, lites, coreCfg); err != nil {

@@ -121,7 +121,6 @@ func main() {
 		drill      = flag.String("drill", "", "diagnose this cluster (e.g. \"CDN=cdn-03\"); requires -metric and -epoch")
 		drillEpoch = flag.Int("epoch", 0, "epoch for -drill")
 		workers    = flag.Int("workers", 0, "analysis shards per epoch (0 = GOMAXPROCS)")
-		pipeDepth  = flag.Int("pipeline-depth", 1, "completed epochs buffered between trace reading and analysis")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -157,7 +156,6 @@ func main() {
 		cfg.Thresholds.MinClusterSessions = *minSess
 	}
 	cfg.Workers = *workers
-	cfg.PipelineDepth = *pipeDepth
 
 	if *drill != "" {
 		if err := runDrill(space, *path, *drill, *metricName, *drillEpoch, cfg); err != nil {

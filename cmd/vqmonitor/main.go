@@ -41,7 +41,6 @@ func main() {
 		actionable = flag.Bool("actionable", false, "print only actionable alerts (persisted ≥ 2 hours)")
 		metricName = flag.String("metric", "", "restrict alerts to one metric")
 		workers    = flag.Int("workers", 0, "analysis shards per epoch (0 = GOMAXPROCS)")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "overlap epoch analysis with ingestion, buffering this many completed epochs (0 = synchronous)")
 		windowSpan = flag.Duration("window", 0, "sliding-window span for sub-epoch streaming detection (must equal the 1h epoch; 0 = epoch-boundary batch mode)")
 		tickSpan   = flag.Duration("tick", time.Minute, "sub-bucket width for -window; the window clock advances on session order, never wall time")
 		latReport  = flag.Bool("latency-report", false, "run the canned detection-latency scenarios and print JSON")
@@ -61,9 +60,6 @@ func main() {
 		var err error
 		if wcfg, err = windowGeometry(*windowSpan, *tickSpan); err != nil {
 			log.Fatal(err)
-		}
-		if *pipeDepth > 0 {
-			log.Fatal("-pipeline-depth cannot combine with -window (the window engine is already incremental)")
 		}
 	}
 
@@ -170,9 +166,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *pipeDepth > 0 {
-		d.Pipeline(*pipeDepth)
-	}
 	if streaming {
 		tickEmit := func(a online.TickAlert) {
 			if *actionable {
@@ -207,10 +200,5 @@ func main() {
 	fmt.Fprintf(os.Stderr, "vqmonitor: %d epochs, %d alerts\n", d.Epochs, d.Alerts)
 	if streaming {
 		fmt.Fprintf(os.Stderr, "vqmonitor: %d ticks, %d tick alerts\n", d.Ticks, d.TickAlerts)
-	}
-	if *pipeDepth > 0 {
-		st := d.PipelineStats()
-		fmt.Fprintf(os.Stderr, "vqmonitor: pipeline %d submit stalls (analysis-bound), %d input waits (ingest-bound)\n",
-			st.SubmitStalls, st.InputWaits)
 	}
 }

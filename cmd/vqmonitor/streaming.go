@@ -86,9 +86,9 @@ type latencyRow struct {
 	SessionsPerHour int     `json:"sessions_per_hour"`
 }
 
-// latencyScenarios are the two internal/events ground-truth cases the
-// committed BENCH_streaming.json records: a strong single-ASN buffering
-// outage and a milder CDN join-time degradation.
+// latencyScenarios are the two internal/events ground-truth cases: a
+// strong single-ASN buffering outage and a milder CDN join-time
+// degradation.
 func latencyScenarios() []latencyScenario {
 	return []latencyScenario{
 		{

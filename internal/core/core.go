@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
-	"repro/internal/core/engine"
 	"repro/internal/critical"
 	"repro/internal/epoch"
 	"repro/internal/metric"
@@ -39,10 +38,6 @@ type Config struct {
 	// count of the per-epoch aggregation and the fan-out of trace-level
 	// epoch analysis.
 	Workers int
-	// PipelineDepth bounds how many completed epochs may queue between the
-	// ingest and analysis stages of AnalyzeTrace (and other engine.Pipeline
-	// consumers); values < 1 mean 1.
-	PipelineDepth int
 	// KeepProblemKeys retains the per-epoch problem-cluster key sets
 	// (needed by the prevalence/persistence analyses; on by default in
 	// DefaultConfig).
@@ -131,9 +126,20 @@ type TraceResult struct {
 	// Epochs holds one result per epoch, ordered; index i is epoch
 	// Trace.Start+i.
 	Epochs []EpochResult
-	// Pipeline snapshots the two-stage pipeline's stall counters when the
-	// result came from AnalyzeTrace (zero otherwise).
-	Pipeline engine.Stats
+	// Pipeline counts the stalls of AnalyzeTrace's read/analysis hand-off
+	// (zero for other producers).
+	Pipeline HandOffStats
+}
+
+// HandOffStats counts the two ways AnalyzeTrace's one-slot hand-off
+// between trace reading and epoch analysis can stall.
+type HandOffStats struct {
+	// SubmitStalls counts epochs the reader could not hand off at once
+	// because the slot was still full: analysis is the bottleneck.
+	SubmitStalls uint64
+	// InputWaits counts times the analysis goroutine found the slot empty:
+	// reading is the bottleneck.
+	InputWaits uint64
 }
 
 // At returns the result of epoch e, or nil when outside the trace.
@@ -327,26 +333,61 @@ func AnalyzeGenerator(g *synth.Generator, cfg Config) (*TraceResult, error) {
 }
 
 // AnalyzeTrace streams a trace reader (sessions ordered by epoch, as the
-// generator and collector write them) and analyses it through the two-stage
-// pipeline: the read loop digests epoch N+1 while the engine's analysis
-// stage runs the sharded AnalyzeEpoch on epoch N. The bounded hand-off
-// keeps at most PipelineDepth completed epochs in flight, and the
-// pipeline's stall counters are returned on the result for backpressure
-// observability.
+// generator and collector write them) and analyses it epoch by epoch. The
+// calling goroutine reads and digests epoch N+1 while one analysis
+// goroutine runs AnalyzeEpoch on epoch N; a one-slot channel hands each
+// completed epoch over, so epochs are analysed in order and at most one
+// waits between the two. The first analysis error is returned, every
+// return path ends the analysis goroutine, and the hand-off's stall
+// counters come back on the result.
 func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
-	results := make(map[epoch.Index]*EpochResult)
-	// The analysis closure runs on the pipeline's single analysis
-	// goroutine; results needs no lock (Drain publishes it to this
-	// goroutine before the map is read).
-	pipe := engine.New(cfg.PipelineDepth, func(e epoch.Index, lites []cluster.Lite) error {
-		res, err := AnalyzeEpoch(e, lites, cfg)
-		cluster.ReleaseLites(lites)
-		if err != nil {
-			return err
+	// epochJob is one completed epoch; its lites buffer travels with it.
+	type epochJob struct {
+		e     epoch.Index
+		lites []cluster.Lite
+	}
+	var (
+		stats   HandOffStats
+		results = make(map[epoch.Index]*EpochResult)
+		slot    = make(chan epochJob, 1)
+		// done closes when the analysis goroutine exits: after slot closes,
+		// or at the first analysis error, which it leaves in analysisErr.
+		// results, analysisErr and stats.InputWaits belong to that
+		// goroutine until then.
+		done        = make(chan struct{})
+		analysisErr error
+	)
+	go func() {
+		defer close(done)
+		for {
+			var (
+				j  epochJob
+				ok bool
+			)
+			select {
+			case j, ok = <-slot:
+			default:
+				stats.InputWaits++
+				j, ok = <-slot
+			}
+			if !ok {
+				return
+			}
+			res, err := AnalyzeEpoch(j.e, j.lites, cfg)
+			cluster.ReleaseLites(j.lites)
+			if err != nil {
+				analysisErr = err
+				return
+			}
+			results[j.e] = res
 		}
-		results[e] = res
-		return nil
-	})
+	}()
+	// stop closes the hand-off and waits for the analysis goroutine.
+	stop := func() error {
+		close(slot)
+		<-done
+		return analysisErr
+	}
 
 	var (
 		cur   epoch.Index
@@ -355,15 +396,25 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 		lo    epoch.Index
 		hi    epoch.Index
 	)
-	flush := func() error {
+	// flush hands the current epoch over, blocking while the slot is full;
+	// it reports false once the analysis goroutine has failed.
+	flush := func() bool {
 		if len(lites) == 0 {
-			return nil
+			return true
 		}
-		if err := pipe.Submit(cur, lites); err != nil {
-			return err
+		j := epochJob{e: cur, lites: lites}
+		select {
+		case slot <- j:
+		default:
+			stats.SubmitStalls++
+			select {
+			case slot <- j:
+			case <-done:
+				return false
+			}
 		}
 		lites = cluster.AcquireLites()
-		return nil
+		return true
 	}
 	var s session.Session
 	for {
@@ -372,7 +423,7 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 			break
 		}
 		if err != nil {
-			_ = pipe.Drain() // the read error is the one worth surfacing
+			_ = stop() // the read error is the one worth surfacing
 			return nil, err
 		}
 		if !any {
@@ -381,12 +432,11 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 		}
 		if s.Epoch != cur {
 			if s.Epoch < cur {
-				_ = pipe.Drain() // the ordering error is the one worth surfacing
+				_ = stop() // the ordering error is the one worth surfacing
 				return nil, fmt.Errorf("core: trace not ordered by epoch (%d after %d)", s.Epoch, cur)
 			}
-			if err := flush(); err != nil {
-				_ = pipe.Drain() // Submit already surfaced the analysis error
-				return nil, err
+			if !flush() {
+				return nil, stop()
 			}
 			cur = s.Epoch
 		}
@@ -395,11 +445,8 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 		}
 		lites = append(lites, cluster.Digest(&s, cfg.Thresholds))
 	}
-	if err := flush(); err != nil {
-		_ = pipe.Drain() // Submit already surfaced the analysis error
-		return nil, err
-	}
-	if err := pipe.Drain(); err != nil {
+	flush() // a failed hand-off leaves its error for stop
+	if err := stop(); err != nil {
 		return nil, err
 	}
 	if !any {
@@ -410,7 +457,7 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 		Trace:      epoch.Range{Start: lo, End: hi + 1},
 		Thresholds: cfg.Thresholds,
 		Epochs:     make([]EpochResult, int(hi-lo)+1),
-		Pipeline:   pipe.Stats(),
+		Pipeline:   stats,
 	}
 	for e, res := range results {
 		tr.Epochs[int(e-lo)] = *res

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/core/cktable"
@@ -163,6 +164,12 @@ type AggStats struct {
 
 // NewAggregator builds an aggregator; the detector is wired to cfg.Emit.
 func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
+	// Resolve the all-dimensions default once, as cluster.NewTable does:
+	// the partial tables below go straight to cktable.Acquire, which reads
+	// 0 as one dimension.
+	if cfg.Analysis.MaxDims <= 0 || cfg.Analysis.MaxDims > attr.NumDims {
+		cfg.Analysis.MaxDims = attr.NumDims
+	}
 	emit := cfg.Emit
 	if emit == nil {
 		emit = func(online.Alert) {}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/heartbeat"
 	"repro/internal/online"
 	"repro/internal/session"
+	"repro/internal/synth"
 	"repro/internal/testutil"
 )
 
@@ -100,6 +101,64 @@ func TestAggregatorMatchesSingleCollectorPath(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatalf("serialized results differ:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+}
+
+// TestAggregatorDefaultConfigMatchesAnalyzeEpoch: an aggregator built from
+// core.DefaultConfig, whose MaxDims is the zero "all dimensions" default,
+// must seal exactly what core.AnalyzeEpoch computes at that config over the
+// same sessions in ID order — multi-attribute critical clusters included.
+func TestAggregatorDefaultConfigMatchesAnalyzeEpoch(t *testing.T) {
+	const perEpoch = 3000
+	gcfg := synth.DefaultConfig()
+	gcfg.Trace = epoch.Range{Start: 0, End: 1}
+	gcfg.SessionsPerEpoch = perEpoch
+	gcfg.Events.Trace = gcfg.Trace
+	g, err := synth.New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := g.EpochSessions(0)
+	cfg := core.DefaultConfig(perEpoch)
+
+	agg, err := NewAggregator(AggregatorConfig{Analysis: cfg, ExpectNodes: 3, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arrive in reverse, spread over three nodes.
+	for i := len(sessions) - 1; i >= 0; i-- {
+		agg.Ingest(1+sessions[i].ID%3, &sessions[i])
+	}
+	cov, got, err := agg.Seal(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov.Degraded || cov.Starved || got == nil {
+		t.Fatalf("healthy epoch sealed as %+v", cov)
+	}
+
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
+	lites := make([]cluster.Lite, len(sessions))
+	for i := range sessions {
+		lites[i] = cluster.Digest(&sessions[i], cfg.Thresholds)
+	}
+	want, err := core.AnalyzeEpoch(0, lites, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("aggregator at DefaultConfig differs from AnalyzeEpoch at DefaultConfig")
+	}
+	multi := 0
+	for m := range want.Metrics {
+		for _, cs := range want.Metrics[m].Critical {
+			if cs.Key.Size() >= 2 {
+				multi++
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no critical key with two or more attributes; the epoch does not exercise MaxDims")
 	}
 }
 

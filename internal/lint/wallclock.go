@@ -37,7 +37,6 @@ var WallClock = &Analyzer{
 var wallClockCone = map[string]bool{
 	"repro/internal/core":         true,
 	"repro/internal/core/cktable": true,
-	"repro/internal/core/engine":  true,
 	"repro/internal/core/eps":     true,
 	"repro/internal/cluster":      true,
 	"repro/internal/critical":     true,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/core/engine"
 	"repro/internal/epoch"
 	"repro/internal/metric"
 	"repro/internal/session"
@@ -78,12 +77,6 @@ type Detector struct {
 	cur     epoch.Index
 	started bool
 	buf     []cluster.Lite
-
-	// pipe, when non-nil, is the two-stage hand-off that analyzes epoch N
-	// while Add accumulates epoch N+1 (see Pipeline). All per-epoch state —
-	// streaks, counters, emissions — is then touched only by the pipeline's
-	// single analysis goroutine, so alert order stays deterministic.
-	pipe *engine.Pipeline
 
 	// win, when non-nil, is the sub-epoch sliding window the Streaming mode
 	// maintains incrementally; sessions then arrive through AddAt and every
@@ -149,35 +142,7 @@ func (d *Detector) Add(s *session.Session) error {
 	return nil
 }
 
-// Pipeline switches the detector to two-stage operation: Add (and the
-// digesting it does) runs concurrently with the previous epoch's analysis,
-// with at most depth completed epochs queued between the stages. Must be
-// called before the first Add. Alert emission moves to the pipeline's
-// analysis goroutine but keeps the same deterministic per-epoch order; the
-// emit callback must therefore not assume it runs on the Add goroutine.
-func (d *Detector) Pipeline(depth int) {
-	if d.win != nil {
-		panic("online: Pipeline cannot mix with Streaming mode")
-	}
-	d.pipe = engine.New(depth, func(e epoch.Index, lites []cluster.Lite) error {
-		err := d.evalEpoch(e, lites)
-		cluster.ReleaseLites(lites)
-		return err
-	})
-}
-
-// PipelineStats snapshots the pipeline's stall counters (zero when Pipeline
-// was not enabled).
-func (d *Detector) PipelineStats() engine.Stats {
-	if d.pipe == nil {
-		return engine.Stats{}
-	}
-	return d.pipe.Stats()
-}
-
-// Flush evaluates the in-progress epoch (end of stream) and, in pipelined
-// mode, drains the analysis stage. Counters and streaks are safe to read
-// after Flush returns.
+// Flush evaluates the in-progress epoch (end of stream).
 func (d *Detector) Flush() error {
 	if d.win != nil {
 		// Streaming: seal the in-progress tick (if it holds sessions),
@@ -196,32 +161,18 @@ func (d *Detector) Flush() error {
 		return nil
 	}
 	if d.started && len(d.buf) > 0 {
-		if err := d.closeEpoch(); err != nil {
-			if d.pipe != nil {
-				_ = d.pipe.Drain() // Submit already surfaced the analysis error
-			}
-			return err
-		}
-	}
-	if d.pipe != nil {
-		return d.pipe.Drain()
+		return d.closeEpoch()
 	}
 	return nil
 }
 
 func (d *Detector) closeEpoch() error {
-	if d.pipe != nil {
-		buf := d.buf
-		d.buf = cluster.AcquireLites()
-		return d.pipe.Submit(d.cur, buf)
-	}
 	err := d.evalEpoch(d.cur, d.buf)
 	d.buf = d.buf[:0]
 	return err
 }
 
 // evalEpoch runs the gate, analysis, and alerting for one completed epoch.
-// In pipelined mode it is called only from the analysis goroutine.
 func (d *Detector) evalEpoch(e epoch.Index, lites []cluster.Lite) error {
 	if d.MinEpochSessions > 0 && len(lites) < d.MinEpochSessions {
 		// Degraded epoch: too few sessions to trust. Skip evaluation
@@ -244,14 +195,14 @@ func (d *Detector) evalEpoch(e epoch.Index, lites []cluster.Lite) error {
 // ObserveResult feeds the detector one already-analysed epoch — the
 // aggregator's path, where sessions were assembled and analysed centrally
 // and the detector must not re-digest them. Epochs must arrive in strictly
-// increasing order, and the streaming entry points (Add/Pipeline) must not
-// be mixed with this one. A degraded epoch (coverage loss) or one below
-// MinEpochSessions freezes streak state exactly like the streaming gate:
-// res may then be nil, no alerts fire, and GapEpochs counts it. A healthy
-// epoch requires res.
+// increasing order, and the session entry points (Add, Streaming/AddAt)
+// must not be mixed with this one. A degraded epoch (coverage loss) or one
+// below MinEpochSessions freezes streak state exactly like the streaming
+// gate: res may then be nil, no alerts fire, and GapEpochs counts it. A
+// healthy epoch requires res.
 func (d *Detector) ObserveResult(e epoch.Index, res *core.EpochResult, sessions int, degraded bool) error {
-	if d.pipe != nil || len(d.buf) > 0 || d.win != nil {
-		return fmt.Errorf("online: ObserveResult cannot mix with streaming Add/Pipeline/Streaming")
+	if len(d.buf) > 0 || d.win != nil {
+		return fmt.Errorf("online: ObserveResult cannot mix with Add or Streaming")
 	}
 	if d.started && e <= d.cur {
 		return fmt.Errorf("online: result for epoch %d after epoch %d", e, d.cur)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/attr"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/core/engine"
 	"repro/internal/epoch"
 	"repro/internal/events"
 	"repro/internal/metric"
@@ -261,62 +260,6 @@ func TestDetectorMatchesOffline(t *testing.T) {
 				if !got[k] {
 					t.Fatalf("epoch %d %v: offline key %v missing online", er.Epoch, m, k)
 				}
-			}
-		}
-	}
-}
-
-// collectAlerts runs one detector over the generator stream and returns its
-// emissions plus final counters.
-func collectAlerts(t *testing.T, g *synth.Generator, configure func(*Detector)) ([]Alert, int, int) {
-	t.Helper()
-	var alerts []Alert
-	d, err := NewDetector(detectorConfig(2500), func(a Alert) { alerts = append(alerts, a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if configure != nil {
-		configure(d)
-	}
-	if err := g.ForEach(d.Add); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return alerts, d.Epochs, d.Alerts
-}
-
-// TestDetectorPipelinedMatchesSynchronous: enabling the two-stage pipeline
-// (at several depths, with and without sharded epochs) changes nothing
-// observable — same alerts in the same order, same counters.
-func TestDetectorPipelinedMatchesSynchronous(t *testing.T) {
-	g, _, _ := outageGenerator(t)
-	want, wantEpochs, wantCount := collectAlerts(t, g, nil)
-	if len(want) == 0 {
-		t.Fatal("reference run produced no alerts")
-	}
-	for _, depth := range []int{1, 3} {
-		for _, workers := range []int{1, 4} {
-			g2, _, _ := outageGenerator(t)
-			got, epochs, count := collectAlerts(t, g2, func(d *Detector) {
-				d.cfg.Workers = workers
-				d.Pipeline(depth)
-			})
-			if len(got) != len(want) {
-				t.Fatalf("depth %d workers %d: %d alerts, want %d", depth, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("depth %d workers %d: alert %d = %+v, want %+v", depth, workers, i, got[i], want[i])
-				}
-			}
-			if epochs != wantEpochs || count != wantCount {
-				t.Fatalf("depth %d workers %d: counters %d/%d, want %d/%d",
-					depth, workers, epochs, count, wantEpochs, wantCount)
-			}
-			if st := (&Detector{}).PipelineStats(); st != (engine.Stats{}) {
-				t.Fatalf("non-pipelined detector stats = %+v", st)
 			}
 		}
 	}

@@ -58,9 +58,9 @@ type StreamConfig struct {
 // the same sessions in the same order.
 //
 // Must be called before the first session; it cannot be combined with
-// Pipeline or ObserveResult. Sessions are fed with AddAt, not Add.
+// ObserveResult. Sessions are fed with AddAt, not Add.
 func (d *Detector) Streaming(cfg StreamConfig) error {
-	if d.started || d.pipe != nil || d.win != nil {
+	if d.started || d.win != nil {
 		return fmt.Errorf("online: Streaming must be configured once, before the first session")
 	}
 	if err := cfg.Window.Validate(); err != nil {

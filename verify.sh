@@ -12,9 +12,11 @@
 #                      wallclock), made interprocedural by per-function
 #                      summaries; non-zero exit on any finding
 #   4. go test -race — the full suite under the race detector
+#   5. bench/        — the benchmark is a module of its own, outside ./...
 set -eux
 
 go build ./...
 go vet ./...
 go run ./cmd/vqlint ./...
 go test -race ./...
+(cd bench && go vet . && go test .)
