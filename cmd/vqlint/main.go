@@ -4,39 +4,22 @@
 //
 // Usage:
 //
-//	vqlint [-rules floatcmp,lockbalance,...] [-list]
-//	       [-format text|json|sarif] [-baseline lint-baseline.json]
-//	       [-write-baseline lint-baseline.json] [-j N]
-//	       [-timing lint-timing.json]
-//	       [-cache DIR] [-assert-all-cached] [patterns...]
+//	vqlint [-rules floatcmp,lockbalance,...] [-list] [-j N]
+//	       [-timing lint-timing.json] [patterns...]
 //
 // Patterns default to ./... and follow the go tool's shape. Findings print
-// one per line as file:line:col: message [rule] (text), as a {"findings":
-// [...]} document (json), or as a SARIF 2.1.0 log (sarif, for code-scanning
-// upload). Suppress a finding with a trailing or preceding comment
+// one per line as file:line:col: message [rule], relative to the working
+// directory. The exit code is the gate: 0 clean, 1 findings, 2 a usage or
+// load error. Suppress a finding with a trailing or preceding comment
 // //vqlint:ignore <rule> <rationale>, or a //vqlint:ignore-start/-end block.
 //
-// Packages are analyzed concurrently (-j bounds the workers, default one per
-// CPU); loading stays serial because the source importer is not, and output
-// order is deterministic regardless of worker count. -timing writes a JSON
-// report of analysis wall time — per package, and per analyzer both within
-// each package and totaled across the run — for CI artifact upload.
-//
-// -cache DIR makes runs incremental: each package's findings are stored
-// under a content key hashing its source files, its in-module dependency
-// closure, the enabled rule set, and the toolchain version. A warm run
-// replays findings for unchanged packages without type-checking them (the
-// -timing report marks those packages "cached": true), and
-// -assert-all-cached turns any miss into a failure so CI can prove the warm
-// path really skipped everything.
-//
-// The baseline mechanism grandfathers pre-existing findings during a rule
-// rollout: -write-baseline records the current findings, -baseline filters
-// any finding matching a recorded one (same rule, file, and message —
-// line and column are ignored so unrelated edits don't resurrect them).
-// The committed lint-baseline.json is empty and CI asserts it stays that
-// way: new findings must be fixed or suppressed with a rationale, never
-// baselined away silently.
+// Loading type-checks every in-module package once from source and reads
+// the standard library from compiler export data, so the go command must be
+// on PATH. Packages are then analyzed concurrently (-j bounds the workers,
+// default one per CPU), and output order is deterministic regardless of
+// worker count. -timing writes a JSON report of analysis wall time — per
+// package, and per analyzer both within each package and totaled across the
+// run — for CI artifact upload.
 package main
 
 import (
@@ -58,13 +41,8 @@ func run(args []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("vqlint", flag.ContinueOnError)
 	rules := fs.String("rules", "", "comma-separated rule IDs to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := fs.String("baseline", "", "filter findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	workers := fs.Int("j", runtime.NumCPU(), "number of packages analyzed concurrently")
 	timingPath := fs.String("timing", "", "write per-package and per-analyzer timings (JSON) to this file")
-	cacheDir := fs.String("cache", "", "replay findings for unchanged packages from this directory (content-hash keyed)")
-	assertAllCached := fs.Bool("assert-all-cached", false, "with -cache, fail if any selected package is not already cached")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,10 +51,6 @@ func run(args []string, stdout io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc) //vqlint:ignore errdrop terminal output; the exit code is the result
 		}
 		return 0
-	}
-	if *format != "text" && *format != "json" && *format != "sarif" {
-		fmt.Fprintf(os.Stderr, "vqlint: unknown format %q (want text, json, or sarif)\n", *format)
-		return 2
 	}
 
 	analyzers := lint.All()
@@ -102,24 +76,12 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
 		return 2
 	}
-	var findings []finding
-	var timings []lint.PkgTiming
-	if *cacheDir != "" {
-		findings, timings, err = runCached(*cacheDir, cwd, patterns, analyzers, *workers, *assertAllCached)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
-			return 2
-		}
-	} else {
-		pkgs, err := lint.Load(cwd, patterns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
-			return 2
-		}
-		var diags []lint.Diagnostic
-		diags, timings = lint.RunConcurrent(pkgs, analyzers, *workers)
-		findings = toFindings(diags, cwd)
+	pkgs, err := lint.Load(cwd, patterns)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
+		return 2
 	}
+	diags, timings := lint.RunConcurrent(pkgs, analyzers, *workers)
 	if *timingPath != "" {
 		if err := saveTimings(*timingPath, timings); err != nil {
 			fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
@@ -127,36 +89,12 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, findings); err != nil {
+	findings := toFindings(diags, cwd)
+	for _, f := range findings {
+		if _, err := fmt.Fprintln(stdout, f); err != nil {
 			fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "vqlint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
-			return 2
-		}
-		findings = applyBaseline(findings, base)
-	}
-
-	switch *format {
-	case "json":
-		err = writeJSON(stdout, findings)
-	case "sarif":
-		err = writeSARIF(stdout, findings, analyzers)
-	default:
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f) //vqlint:ignore errdrop terminal output; the exit code is the result
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vqlint: %v\n", err)
-		return 2
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "vqlint: %d finding(s)\n", len(findings))

@@ -3,35 +3,25 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/lint"
 )
 
-// finding is the serialized form of one diagnostic. File is relative to the
-// invocation directory so the baseline and the SARIF log are stable across
-// checkouts.
+// finding is the printed form of one diagnostic. File is relative to the
+// invocation directory so output is stable across checkouts.
 type finding struct {
-	Rule string `json:"rule"`
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Msg  string `json:"msg"`
+	Rule string
+	File string
+	Line int
+	Col  int
+	Msg  string
 }
 
 func (f finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Msg, f.Rule)
-}
-
-// key identifies a finding for baseline matching: rule, file, and message.
-// Line and column are deliberately excluded so edits elsewhere in a file do
-// not resurrect a grandfathered finding.
-func (f finding) key() string {
-	return f.Rule + "\x00" + f.File + "\x00" + f.Msg
 }
 
 func toFindings(diags []lint.Diagnostic, cwd string) []finding {
@@ -44,51 +34,6 @@ func toFindings(diags []lint.Diagnostic, cwd string) []finding {
 		out = append(out, finding{Rule: d.Rule, File: file, Line: d.Pos.Line, Col: d.Pos.Column, Msg: d.Msg})
 	}
 	return out
-}
-
-// baselineDoc is the on-disk baseline shape. An empty baseline is the
-// committed steady state: {"findings":[]}.
-type baselineDoc struct {
-	Findings []finding `json:"findings"`
-}
-
-func loadBaseline(path string) ([]finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var doc baselineDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return doc.Findings, nil
-}
-
-func saveBaseline(path string, findings []finding) error {
-	// The committed baseline must be byte-stable across machines and worker
-	// counts: repo-relative slash paths (toFindings) plus a full sort.
-	findings = append(make([]finding, 0, len(findings)), findings...)
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Msg < b.Msg
-	})
-	data, err := json.MarshalIndent(baselineDoc{Findings: findings}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // timingDoc is the -timing report: per-package analysis wall time (with a
@@ -115,118 +60,4 @@ func saveTimings(path string, timings []lint.PkgTiming) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// applyBaseline removes findings matched by the baseline. Each baseline
-// entry absorbs at most as many findings as it occurs — a second identical
-// finding in the same file is new and stays reported.
-func applyBaseline(findings, base []finding) []finding {
-	budget := make(map[string]int, len(base))
-	for _, b := range base {
-		budget[b.key()]++
-	}
-	kept := findings[:0:0]
-	for _, f := range findings {
-		if budget[f.key()] > 0 {
-			budget[f.key()]--
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept
-}
-
-func writeJSON(w io.Writer, findings []finding) error {
-	if findings == nil {
-		findings = []finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(baselineDoc{Findings: findings})
-}
-
-// SARIF 2.1.0, the minimal subset code-scanning backends accept: one run,
-// the driver's rule metadata, and one result per finding with a single
-// physical location.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string    `json:"id"`
-	ShortDescription sarifText `json:"shortDescription"`
-}
-
-type sarifText struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifText       `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-func writeSARIF(w io.Writer, findings []finding, analyzers []*lint.Analyzer) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
-	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
-	results := make([]sarifResult, 0, len(findings))
-	for _, f := range findings {
-		results = append(results, sarifResult{
-			RuleID:  f.Rule,
-			Level:   "error",
-			Message: sarifText{Text: f.Msg},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: f.File},
-					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
-				},
-			}},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "vqlint", Rules: rules}}, Results: results}},
-	})
 }

@@ -23,7 +23,7 @@ func load(t *testing.T, src string) ([]*ast.File, *types.Info) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
 	if _, err := conf.Check("fix", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}

@@ -136,9 +136,6 @@ type PkgTiming struct {
 	Path    string                   `json:"path"`
 	Elapsed time.Duration            `json:"elapsedNs"`
 	Rules   map[string]time.Duration `json:"ruleNs,omitempty"`
-	// Cached marks a package whose findings were replayed from the content
-	// cache (-cache) without re-analysis; Elapsed and Rules are then zero.
-	Cached bool `json:"cached,omitempty"`
 }
 
 // runPackage analyzes one package: it builds the suppression table and the
@@ -178,9 +175,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunConcurrent is Run with a bounded worker pool over packages. Loading is
-// the caller's problem (the source importer is not safe for concurrent use);
-// analysis of already-type-checked packages is read-only per package, so
-// packages can run in parallel. Results land in per-package slots, so the
+// the caller's problem and stays serial (Load memoises each in-module
+// package as it type-checks it); analysis of already-type-checked packages
+// is read-only per package, so packages can run in parallel. Results land
+// in per-package slots, so the
 // final ordering is deterministic regardless of scheduling. The second
 // result reports per-package wall time, in the input package order.
 func RunConcurrent(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, []PkgTiming) {

@@ -11,11 +11,11 @@ import (
 	"testing"
 )
 
-// All fixtures share one FileSet and source importer so the (expensive)
-// stdlib type-checking is paid once per test binary, not once per fixture.
+// All fixtures share one FileSet and export-data importer, as Load does for
+// the standard library, so each stdlib package is read once per test binary.
 var (
 	fixtureFset     = token.NewFileSet()
-	fixtureImporter = importer.ForCompiler(fixtureFset, "source", nil)
+	fixtureImporter = importer.ForCompiler(fixtureFset, "gc", nil)
 	fixtureSeq      int
 )
 
@@ -1372,4 +1372,31 @@ func TestSelfCheck(t *testing.T) {
 	if len(diags) != 0 {
 		t.Errorf("repository is not vqlint-clean: %d findings\n%s", len(diags), formatDiags(diags))
 	}
+}
+
+// TestLoadSharesModulePackages pins the loader's contract: an in-module
+// package is type-checked once per Load, so the cluster package core
+// imports is the very one the cluster pattern selected.
+func TestLoadSharesModulePackages(t *testing.T) {
+	pkgs, err := Load("../..", []string{"./internal/cluster", "./internal/core"})
+	if err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	byPath := make(map[string]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.Path] = p
+	}
+	cluster, core := byPath["repro/internal/cluster"], byPath["repro/internal/core"]
+	if cluster == nil || core == nil || len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages %v, want cluster and core", len(pkgs), byPath)
+	}
+	for _, imp := range core.Types.Imports() {
+		if imp.Path() == cluster.Path {
+			if imp != cluster.Types {
+				t.Error("core imports a second copy of repro/internal/cluster")
+			}
+			return
+		}
+	}
+	t.Fatal("core does not import repro/internal/cluster")
 }

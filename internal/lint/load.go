@@ -31,20 +31,36 @@ type Package struct {
 // anything else names one directory. Test files are excluded: the analyzers
 // target production code, and several rules (errdrop in particular) are
 // deliberately silent in tests.
+//
+// Every in-module package, whether matched by a pattern or only imported,
+// is type-checked from source exactly once per call, so a package and its
+// importers share one *types.Package. Everything else (the standard
+// library) is read from compiler export data, which the go command on PATH
+// produces into its build cache.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	modRoot, modPath, err := findModule(dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := expandPatterns(dir, patterns)
+	modRoot, modPath, err := findModule(abs)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	dirs, err := expandPatterns(abs, patterns)
+	if err != nil {
+		return nil, err
+	}
+	l := &loader{
+		fset:    token.NewFileSet(),
+		modRoot: modRoot,
+		modPath: modPath,
+		done:    make(map[string]*Package),
+		loading: make(map[string]bool),
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", nil)
 	var pkgs []*Package
 	for _, d := range dirs {
-		pkg, err := loadDir(fset, imp, modRoot, modPath, d)
+		pkg, err := l.loadDir(d)
 		if err != nil {
 			return nil, err
 		}
@@ -55,13 +71,39 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// findModule locates the enclosing go.mod and returns its root and module
-// path.
-func findModule(dir string) (root, path string, err error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
+// loader is the types.Importer of one Load call: in-module packages are
+// type-checked from source and memoised by absolute directory, everything
+// else goes to the export-data importer.
+type loader struct {
+	fset    *token.FileSet
+	modRoot string
+	modPath string
+	std     types.Importer
+	// done memoises finished packages (nil for a test-only directory);
+	// loading guards against import cycles.
+	done    map[string]*Package
+	loading map[string]bool
+}
+
+// Import implements types.Importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	rest, ok := strings.CutPrefix(path, l.modPath)
+	if !ok || (rest != "" && rest[0] != '/') {
+		return l.std.Import(path)
 	}
+	pkg, err := l.loadDir(filepath.Join(l.modRoot, filepath.FromSlash(rest)))
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: no non-test Go files for %s", path)
+	}
+	return pkg.Types, nil
+}
+
+// findModule locates the go.mod enclosing the absolute directory abs and
+// returns its root and module path.
+func findModule(abs string) (root, path string, err error) {
 	for d := abs; ; {
 		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
 		if err == nil {
@@ -147,9 +189,26 @@ func goFileNames(dir string) ([]string, error) {
 	return names, nil
 }
 
-// loadDir parses and type-checks the package in one directory. A directory
-// with only test files yields (nil, nil).
-func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir string) (*Package, error) {
+// loadDir parses and type-checks the package in one absolute directory,
+// once per loader. A directory with only test files yields (nil, nil).
+func (l *loader) loadDir(dir string) (*Package, error) {
+	if pkg, ok := l.done[dir]; ok {
+		return pkg, nil
+	}
+	if l.loading[dir] {
+		return nil, fmt.Errorf("lint: import cycle through %s", dir)
+	}
+	l.loading[dir] = true
+	defer delete(l.loading, dir)
+	pkg, err := l.check(dir)
+	if err != nil {
+		return nil, err
+	}
+	l.done[dir] = pkg
+	return pkg, nil
+}
+
+func (l *loader) check(dir string) (*Package, error) {
 	names, err := goFileNames(dir)
 	if err != nil {
 		return nil, err
@@ -159,13 +218,13 @@ func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir stri
 	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
 		files = append(files, f)
 	}
-	path, err := importPath(modRoot, modPath, dir)
+	path, err := importPath(l.modRoot, l.modPath, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -175,20 +234,16 @@ func loadDir(fset *token.FileSet, imp types.Importer, modRoot, modPath, dir stri
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 func importPath(modRoot, modPath, dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(modRoot, abs)
+	rel, err := filepath.Rel(modRoot, dir)
 	if err != nil {
 		return "", err
 	}

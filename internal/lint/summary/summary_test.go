@@ -25,7 +25,7 @@ func compute(t *testing.T, src string) (*Set, func(string) *Summary) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
 	if _, err := conf.Check("fix", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
