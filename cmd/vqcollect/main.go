@@ -27,12 +27,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -59,7 +57,6 @@ func run() int {
 	log.SetPrefix("vqcollect: ")
 	var (
 		addr  = flag.String("addr", "127.0.0.1:9823", "TCP heartbeat listen address")
-		httpA = flag.String("http", "", "also serve HTTP heartbeat batches on this address (e.g. 127.0.0.1:9824)")
 		out   = flag.String("out", "collected.vqt", "trace file to append assembled sessions to")
 		demo  = flag.Int("demo", 0, "also run this many simulated player sessions against the collector")
 		seed  = flag.Uint64("seed", 1, "world seed for the demo players")
@@ -70,7 +67,7 @@ func run() int {
 		// Distributed-tier node mode (active when -aggregator is set).
 		aggAddr     = flag.String("aggregator", "", "relay assembled sessions to this vqaggregate address instead of writing a trace")
 		nodeID      = flag.Uint64("node-id", 1, "node identity on the aggregator (stable across restarts)")
-		incarnation = flag.Uint64("incarnation", 0, "restart counter; bump by one each time this node restarts")
+		incarnation = flag.Uint64("incarnation", 0, "restart counter below 2^32; bump by one each time this node restarts")
 		spoolDir    = flag.String("spool-dir", "relay-spool", "directory for relay spool segments (reuse across restarts for recovery)")
 		rotate      = flag.Int("rotate", 256, "seal and ship a relay segment after this many sessions")
 		maxSegments = flag.Int("max-segments", 64, "sealed-segment backlog bound; overflow sheds the oldest segment")
@@ -122,28 +119,11 @@ func run() int {
 	})
 
 	collector := heartbeat.NewCollector(sp.Emit)
+	collector.Logf = log.Printf
 	if err := collector.Listen(*addr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("collecting heartbeats on %s → %s\n", collector.Addr(), *out)
-
-	var httpSrv *http.Server
-	if *httpA != "" {
-		httpSrv = &http.Server{
-			Addr:    *httpA,
-			Handler: &heartbeat.HTTPHandler{Asm: collector.Assembler(), Logf: log.Printf},
-			// Slow-loris defense: a client that trickles its headers or body
-			// is cut off instead of pinning a handler goroutine forever.
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       30 * time.Second,
-		}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("http: %v", err)
-			}
-		}()
-		fmt.Printf("accepting HTTP heartbeat batches on %s\n", *httpA)
-	}
 
 	stopFlush := make(chan struct{})
 	go func() {
@@ -181,13 +161,6 @@ func run() int {
 
 	exit := 0
 	close(stopFlush)
-	if httpSrv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("shutting down http server: %v", err)
-		}
-		cancel()
-	}
 	// Drain heartbeat connections, force-flush pending sessions into the
 	// spool, then drain the spool into the trace. Order matters: the spool
 	// must outlive the collector's final flush.

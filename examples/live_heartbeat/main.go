@@ -50,6 +50,7 @@ func main() {
 		collected = append(collected, s)
 		mu.Unlock()
 	})
+	collector.Logf = log.Printf
 	if err := collector.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}

@@ -2,62 +2,25 @@ package heartbeat
 
 import (
 	"errors"
-	"io"
-	"log"
-	"net"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metric"
 	"repro/internal/session"
 )
 
-// Collector is the measurement back end: a TCP server that decodes
-// heartbeat streams from many concurrent clients and assembles completed
-// sessions. It is built to survive a hostile network: per-connection idle
-// read deadlines bound half-open connections, transient accept failures are
-// retried with backoff instead of killing the accept loop, and a panic in a
-// handler (or in the emit callback) tears down one connection, never the
-// process.
+// Collector is the measurement back end: a Server whose connections feed
+// one Assembler, which turns many concurrent heartbeat streams into
+// completed sessions. The Server's Abort drops pending assembler state
+// unflushed, exactly as a killed process would; the chaos soak uses it to
+// model a collector node dying mid-epoch.
 type Collector struct {
+	*Server
 	asm *Assembler
-	ln  net.Listener
-
-	// ReadIdleTimeout bounds the gap between heartbeats on one connection;
-	// a connection that stalls longer is dropped and its sessions are left
-	// to the idle flusher to salvage. Zero disables the deadline.
-	ReadIdleTimeout time.Duration
-
-	mu     sync.Mutex
-	conns  map[net.Conn]bool
-	closed bool
-	wg     sync.WaitGroup
-
-	// Logf receives per-connection protocol errors (default: log.Printf).
-	Logf func(format string, args ...any)
-
-	connsAccepted  atomic.Int64
-	framesHandled  atomic.Int64
-	protocolErrors atomic.Int64
-	acceptErrors   atomic.Int64
-	handlerPanics  atomic.Int64
-	forceClosed    atomic.Int64
 }
 
 // Stats is a snapshot of collector counters.
 type Stats struct {
-	ConnsAccepted  int64
-	FramesHandled  int64
-	ProtocolErrors int64
-	// AcceptErrors counts transient Accept failures that were retried.
-	AcceptErrors int64
-	// HandlerPanics counts connection handlers torn down by a panic.
-	HandlerPanics int64
-	// ForceClosed counts straggler connections killed because the drain
-	// grace expired during Close.
-	ForceClosed    int64
+	ConnStats
 	PendingSession int
 	// SessionsEmitted, Salvaged, and ReplaysDropped mirror the assembler's
 	// accounting (see AssemblerStats).
@@ -70,12 +33,7 @@ type Stats struct {
 func (c *Collector) Stats() Stats {
 	as := c.asm.Stats()
 	return Stats{
-		ConnsAccepted:   c.connsAccepted.Load(),
-		FramesHandled:   c.framesHandled.Load(),
-		ProtocolErrors:  c.protocolErrors.Load(),
-		AcceptErrors:    c.acceptErrors.Load(),
-		HandlerPanics:   c.handlerPanics.Load(),
-		ForceClosed:     c.forceClosed.Load(),
+		ConnStats:       c.Server.Stats(),
 		PendingSession:  as.Pending,
 		SessionsEmitted: as.Emitted,
 		Salvaged:        as.Salvaged,
@@ -86,275 +44,29 @@ func (c *Collector) Stats() Stats {
 // NewCollector builds a collector delivering completed sessions to emit.
 // emit may be called concurrently.
 func NewCollector(emit func(session.Session)) *Collector {
+	asm := NewAssembler(emit)
+	handle := Handler(asm.Handle)
 	return &Collector{
-		asm:             NewAssembler(emit),
-		conns:           make(map[net.Conn]bool),
-		Logf:            log.Printf,
-		ReadIdleTimeout: 2 * time.Minute,
+		Server: NewServer("heartbeat", func() Handler { return handle }),
+		asm:    asm,
 	}
 }
 
 // Assembler exposes the underlying assembler (for Flush policies).
 func (c *Collector) Assembler() *Assembler { return c.asm }
 
-// Listen starts accepting on addr ("127.0.0.1:0" for an ephemeral test
-// port) and serves until Close.
-func (c *Collector) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return c.Serve(ln)
-}
+// Close is CloseGrace with a ten-second drain.
+func (c *Collector) Close() error { return c.CloseGrace(drainGrace) }
 
-// Serve accepts heartbeat connections from an existing listener (a
-// fault-injecting wrapper in the chaos tests, a TCP listener in Listen).
-func (c *Collector) Serve(ln net.Listener) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		_ = ln.Close() // the caller's error is the closed collector, not the unwind
-		return errors.New("heartbeat: collector closed")
-	}
-	c.ln = ln
-	c.mu.Unlock()
-
-	c.wg.Add(1)
-	go c.acceptLoop(ln)
-	return nil
-}
-
-// Addr returns the bound listen address (nil before Listen).
-func (c *Collector) Addr() net.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ln == nil {
-		return nil
-	}
-	return c.ln.Addr()
-}
-
-func (c *Collector) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-func (c *Collector) acceptLoop(ln net.Listener) {
-	defer c.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			// Listener closed or drain deadline reached. Connections
-			// accepted before this point are still served to EOF.
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return
-			}
-			if c.isClosed() {
-				return
-			}
-			// Transient failure (EMFILE, injected chaos, a reset mid
-			// handshake): log, back off briefly, keep accepting. A flaky
-			// accept path must degrade to slower admission, not shutdown.
-			c.acceptErrors.Add(1)
-			if c.Logf != nil {
-				c.Logf("heartbeat: accept: %v", err)
-			}
-			if backoff < time.Millisecond {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > 50*time.Millisecond {
-				backoff = 50 * time.Millisecond
-			}
-			time.Sleep(backoff)
-			continue
-		}
-		backoff = 0
-		c.connsAccepted.Add(1)
-		c.mu.Lock()
-		c.conns[conn] = true
-		c.mu.Unlock()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.ServeConn(conn)
-			c.mu.Lock()
-			delete(c.conns, conn)
-			c.mu.Unlock()
-		}()
-	}
-}
-
-// readDeadliner is the slice of net.Conn the idle deadline needs; io-only
-// streams (files, pipes in tests) simply run without one.
-type readDeadliner interface {
-	SetReadDeadline(t time.Time) error
-}
-
-// writeDeadliner bounds ack writes the same way.
-type writeDeadliner interface {
-	SetWriteDeadline(t time.Time) error
-}
-
-// ackWriteTimeout bounds one acknowledgment write; a client that stops
-// draining its ack stream loses the connection, never wedges the handler.
-const ackWriteTimeout = 5 * time.Second
-
-// ServeConn decodes one heartbeat stream until EOF, a protocol error, or an
-// idle timeout. Exposed so tests and in-process pipelines can drive the
-// collector over net.Pipe or any io.ReadCloser. A panic while handling a
-// frame (including inside the emit callback) is isolated to this
-// connection.
-func (c *Collector) ServeConn(conn io.ReadCloser) {
-	defer conn.Close()
-	defer func() {
-		if r := recover(); r != nil {
-			c.handlerPanics.Add(1)
-			if c.Logf != nil {
-				c.Logf("heartbeat: handler panic (connection dropped): %v\n%s", r, debug.Stack())
-			}
-		}
-	}()
-	rd, _ := conn.(readDeadliner)
-	r := NewReader(conn)
-	var ackW *Writer // non-nil once a Hello asked for ack mode
-	var m Message
-	for {
-		if rd != nil && c.ReadIdleTimeout > 0 {
-			if err := rd.SetReadDeadline(time.Now().Add(c.ReadIdleTimeout)); err != nil {
-				rd = nil // transport without working deadlines; serve unbounded
-			}
-		}
-		if err := r.Read(&m); err != nil {
-			if err != io.EOF && c.Logf != nil {
-				c.Logf("heartbeat: connection error: %v", err)
-			}
-			return
-		}
-		c.framesHandled.Add(1)
-		if err := c.asm.Handle(&m); err != nil {
-			c.protocolErrors.Add(1)
-			if c.Logf != nil {
-				c.Logf("heartbeat: %v", err)
-			}
-			// Protocol violations drop the message, not the connection:
-			// one misbehaving player must not sever a shared reporter.
-			continue
-		}
-		if m.Kind == KindHello && m.AckMode && ackW == nil {
-			if w, ok := conn.(io.Writer); ok {
-				ackW = NewWriter(w)
-			}
-		}
-		if ackW != nil && kindNeedsAck(m.Kind) {
-			// Acknowledge only after Handle succeeded — including the dedup
-			// path, where the session is already assembled and the replayed
-			// frame was dropped; either way the sender may retire it.
-			if wd, ok := conn.(writeDeadliner); ok {
-				_ = wd.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
-			}
-			if err := ackW.Write(&Message{Kind: KindAck, SessionID: m.SessionID}); err != nil {
-				if c.Logf != nil {
-					c.Logf("heartbeat: ack write: %v (connection dropped)", err)
-				}
-				return // the sender will reconnect and re-deliver
-			}
-		}
-	}
-}
-
-// Abort is the process-kill model: listener and every live connection close
-// immediately, with no drain grace, and pending assembler state is dropped —
-// not flushed — exactly as a killed process would drop it. The chaos soak
-// uses it to model a collector node dying mid-epoch. Idempotent; Close after
-// Abort reports the collector already closed.
-func (c *Collector) Abort() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	ln := c.ln
-	for conn := range c.conns {
-		c.forceClosed.Add(1)
-		_ = conn.Close() // abrupt teardown is the point
-	}
-	c.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close() // accept loop exits via net.ErrClosed
-	}
-	c.wg.Wait()
-}
-
-// Close stops accepting and shuts down gracefully: connection handlers get
-// up to ten seconds to drain buffered heartbeats (clients that have closed
-// their side produce EOF naturally); stragglers are then force-closed.
-// Finally the assembler force-flushes so no pending session is lost.
-func (c *Collector) Close() error { return c.CloseGrace(10 * time.Second) }
-
-// CloseGrace is Close with an explicit drain deadline. Stragglers killed at
-// the deadline are counted in Stats.ForceClosed, so operators can tell a
-// clean drain from a timed-out one.
+// CloseGrace drains the server (see Server.CloseGrace), then force-flushes
+// the assembler so no pending session is lost.
 func (c *Collector) CloseGrace(grace time.Duration) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errors.New("heartbeat: collector already closed")
-	}
-	c.closed = true
-	ln := c.ln
-	c.mu.Unlock()
-
-	var closeErr error
-	lnClosed := false
-	closeListener := func() {
-		if err := ln.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-		lnClosed = true
-	}
-	if ln != nil {
-		// Connections may sit in the kernel accept queue (their dials
-		// already succeeded); give the accept loop a moment to drain them
-		// before tearing the listener down, so their heartbeats are not
-		// silently discarded.
-		if tl, ok := ln.(*net.TCPListener); ok {
-			if err := tl.SetDeadline(time.Now().Add(150 * time.Millisecond)); err != nil {
-				// Can't bound the drain; tear the listener down now rather
-				// than risk hanging in accept.
-				closeListener()
-			}
-		} else {
-			closeListener()
-		}
-	}
-
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		c.mu.Lock()
-		for conn := range c.conns {
-			c.forceClosed.Add(1)
-			_ = conn.Close() // best-effort teardown of stragglers
-		}
-		c.mu.Unlock()
-		<-done
-	}
-	if ln != nil && !lnClosed {
-		closeListener()
+	err := c.Server.CloseGrace(grace)
+	if errors.Is(err, errClosed) {
+		return err // closed or aborted before: nothing left to flush
 	}
 	c.asm.Flush(true)
-	return closeErr
+	return err
 }
 
 // sessionMessages appends the heartbeat sequence reporting one completed

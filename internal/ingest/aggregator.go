@@ -1,12 +1,8 @@
 package ingest
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,16 +65,13 @@ type AggregatorConfig struct {
 	ExpectNodes int
 	// MinEpochSessions feeds the detector's starvation gate.
 	MinEpochSessions int
-	// ReadIdleTimeout bounds the gap between frames on one relay
-	// connection (default 2m; zero disables).
-	ReadIdleTimeout time.Duration
 	// OnSeal observes every sealed epoch (nil ignores). Called in seal
 	// order with the coverage record and the analysis result (nil when the
 	// epoch was degraded or starved — frozen, not analysed).
 	OnSeal func(Coverage, *core.EpochResult)
 	// Emit receives detector alerts (nil drops them).
 	Emit func(online.Alert)
-	// Logf receives diagnostics (default log.Printf; set to silence).
+	// Logf receives diagnostics (nil silences).
 	Logf func(format string, args ...any)
 }
 
@@ -133,29 +126,14 @@ type Aggregator struct {
 	sealedAny     bool
 	sealedThrough epoch.Index
 
-	ln     net.Listener
-	conns  map[net.Conn]bool
-	closed bool
-	wg     sync.WaitGroup
-
-	connsAccepted  atomic.Int64
-	framesHandled  atomic.Int64
-	protocolErrors atomic.Int64
-	acceptErrors   atomic.Int64
-	handlerPanics  atomic.Int64
-	forceClosed    atomic.Int64
-	lateSessions   atomic.Int64
-	dupSessions    atomic.Int64
+	srv          *heartbeat.Server
+	lateSessions atomic.Int64
+	dupSessions  atomic.Int64
 }
 
 // AggStats is a snapshot of aggregator counters.
 type AggStats struct {
-	ConnsAccepted  int64
-	FramesHandled  int64
-	ProtocolErrors int64
-	AcceptErrors   int64
-	HandlerPanics  int64
-	ForceClosed    int64
+	heartbeat.ConnStats
 	// LateSessions arrived for already-sealed epochs and were dropped.
 	LateSessions int64
 	// DupSessions were re-deliveries of already-merged sessions.
@@ -179,19 +157,15 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		return nil, err
 	}
 	det.MinEpochSessions = cfg.MinEpochSessions
-	if cfg.ReadIdleTimeout == 0 {
-		cfg.ReadIdleTimeout = 2 * time.Minute
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
-	}
-	return &Aggregator{
+	a := &Aggregator{
 		cfg:      cfg,
 		det:      det,
 		nodes:    make(map[uint64]*nodeState),
 		partials: make(map[epoch.Index]*epochState),
-		conns:    make(map[net.Conn]bool),
-	}, nil
+	}
+	a.srv = heartbeat.NewServer("ingest: aggregator", a.newConn)
+	a.srv.Logf = cfg.Logf
+	return a, nil
 }
 
 // Detector exposes the online detector (tests read its counters).
@@ -200,14 +174,9 @@ func (a *Aggregator) Detector() *online.Detector { return a.det }
 // Stats returns current counters.
 func (a *Aggregator) Stats() AggStats {
 	return AggStats{
-		ConnsAccepted:  a.connsAccepted.Load(),
-		FramesHandled:  a.framesHandled.Load(),
-		ProtocolErrors: a.protocolErrors.Load(),
-		AcceptErrors:   a.acceptErrors.Load(),
-		HandlerPanics:  a.handlerPanics.Load(),
-		ForceClosed:    a.forceClosed.Load(),
-		LateSessions:   a.lateSessions.Load(),
-		DupSessions:    a.dupSessions.Load(),
+		ConnStats:    a.srv.Stats(),
+		LateSessions: a.lateSessions.Load(),
+		DupSessions:  a.dupSessions.Load(),
 	}
 }
 
@@ -493,233 +462,52 @@ func (a *Aggregator) sealLocked(e epoch.Index) (Coverage, *core.EpochResult, err
 	//vqlint:ignore-end
 }
 
-// Listen starts accepting relay connections on addr.
-func (a *Aggregator) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return a.Serve(ln)
-}
-
-// Serve accepts relay connections from an existing listener.
-func (a *Aggregator) Serve(ln net.Listener) error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		_ = ln.Close()
-		return errors.New("ingest: aggregator closed")
-	}
-	a.ln = ln
-	a.mu.Unlock()
-	a.wg.Add(1)
-	go a.acceptLoop(ln)
-	return nil
-}
-
-// Addr returns the bound listen address (nil before Serve).
-func (a *Aggregator) Addr() net.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ln == nil {
+// newConn returns the Handler for one relay connection. Protocol: the
+// first frame must be a control Hello (ControlSessionBit set) announcing
+// the node ID and incarnation; KindSession frames then carry assembled
+// sessions and KindStatus frames cumulative loss counters. The server acks
+// a Session frame only after Ingest returned, so a relay retiring a segment
+// knows its sessions are in.
+func (a *Aggregator) newConn() heartbeat.Handler {
+	var nodeID uint64
+	hello := false
+	return func(m *heartbeat.Message) error {
+		switch {
+		case m.Kind == heartbeat.KindHello && m.SessionID&heartbeat.ControlSessionBit != 0:
+			// The announce, or a re-announce after a sender reconnect
+			// replay, which refreshes the incarnation of the node first
+			// announced on this connection.
+			if !hello {
+				nodeID, hello = m.SessionID&^heartbeat.ControlSessionBit, true
+			}
+			a.RegisterNode(nodeID, uint64(uint32(m.Attrs[0])))
+		case !hello:
+			return fmt.Errorf("first frame %v, want control hello: %w", m.Kind, heartbeat.ErrDropConn)
+		case m.Kind == heartbeat.KindSession:
+			a.Ingest(nodeID, &m.Sess)
+		case m.Kind == heartbeat.KindStatus:
+			a.UpdateStatus(nodeID, m.Status)
+		case m.Kind != heartbeat.KindHello:
+			return fmt.Errorf("unexpected %v frame", m.Kind)
+		}
 		return nil
 	}
-	return a.ln.Addr()
 }
 
-func (a *Aggregator) isClosed() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.closed
-}
+// Listen starts accepting relay connections on addr.
+func (a *Aggregator) Listen(addr string) error { return a.srv.Listen(addr) }
 
-func (a *Aggregator) acceptLoop(ln net.Listener) {
-	defer a.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				return
-			}
-			if a.isClosed() {
-				return
-			}
-			a.acceptErrors.Add(1)
-			if a.cfg.Logf != nil {
-				a.cfg.Logf("ingest: aggregator accept: %v", err)
-			}
-			if backoff < time.Millisecond {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > 50*time.Millisecond {
-				backoff = 50 * time.Millisecond
-			}
-			time.Sleep(backoff)
-			continue
-		}
-		backoff = 0
-		a.connsAccepted.Add(1)
-		a.mu.Lock()
-		a.conns[conn] = true
-		a.mu.Unlock()
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			a.serveConn(conn)
-			a.mu.Lock()
-			delete(a.conns, conn)
-			a.mu.Unlock()
-		}()
-	}
-}
+// Serve accepts relay connections from an existing listener.
+func (a *Aggregator) Serve(ln net.Listener) error { return a.srv.Serve(ln) }
 
-// serveConn decodes one relay stream. Protocol: the first frame must be a
-// control Hello (ControlSessionBit set) announcing the node ID and
-// incarnation; KindSession frames then carry assembled sessions and
-// KindStatus frames cumulative loss counters. Acked frames are
-// acknowledged only after the session is durably merged (or recognized as
-// a duplicate), so a relay retiring a segment knows its sessions are in.
-func (a *Aggregator) serveConn(conn net.Conn) {
-	defer conn.Close()
-	defer func() {
-		if r := recover(); r != nil {
-			a.handlerPanics.Add(1)
-			if a.cfg.Logf != nil {
-				a.cfg.Logf("ingest: aggregator handler panic (connection dropped): %v\n%s", r, debug.Stack())
-			}
-		}
-	}()
-	r := heartbeat.NewReader(conn)
-	var (
-		ackW   *heartbeat.Writer
-		nodeID uint64
-		hello  bool
-		m      heartbeat.Message
-	)
-	for {
-		if a.cfg.ReadIdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(a.cfg.ReadIdleTimeout)); err != nil {
-				return
-			}
-		}
-		if err := r.Read(&m); err != nil {
-			if err != io.EOF && a.cfg.Logf != nil {
-				a.cfg.Logf("ingest: aggregator connection: %v", err)
-			}
-			return
-		}
-		a.framesHandled.Add(1)
-		if !hello {
-			if m.Kind != heartbeat.KindHello || m.SessionID&heartbeat.ControlSessionBit == 0 {
-				a.protocolErrors.Add(1)
-				if a.cfg.Logf != nil {
-					a.cfg.Logf("ingest: aggregator: first frame %v, want control hello (connection dropped)", m.Kind)
-				}
-				return
-			}
-			nodeID = m.SessionID &^ heartbeat.ControlSessionBit
-			var inc uint64
-			if len(m.Attrs) > 0 {
-				inc = uint64(uint32(m.Attrs[0]))
-			}
-			a.RegisterNode(nodeID, inc)
-			if m.AckMode {
-				ackW = heartbeat.NewWriter(conn)
-			}
-			hello = true
-			continue
-		}
-		switch m.Kind {
-		case heartbeat.KindSession:
-			a.Ingest(nodeID, &m.Sess)
-		case heartbeat.KindStatus:
-			a.UpdateStatus(nodeID, m.Status)
-			continue // status frames are unacked fire-and-forget
-		case heartbeat.KindHello:
-			// A re-announce (sender reconnect replay); refresh the
-			// incarnation. Hellos are never acked — the sender does not
-			// await one, and an unsolicited ack would desync its ack stream.
-			if m.SessionID&heartbeat.ControlSessionBit != 0 {
-				var inc uint64
-				if len(m.Attrs) > 0 {
-					inc = uint64(uint32(m.Attrs[0]))
-				}
-				a.RegisterNode(nodeID, inc)
-			}
-			continue
-		default:
-			a.protocolErrors.Add(1)
-			if a.cfg.Logf != nil {
-				a.cfg.Logf("ingest: aggregator: unexpected %v frame", m.Kind)
-			}
-			continue
-		}
-		if ackW != nil {
-			if err := conn.SetWriteDeadline(time.Now().Add(5 * time.Second)); err != nil {
-				return
-			}
-			if err := ackW.Write(&heartbeat.Message{Kind: heartbeat.KindAck, SessionID: m.SessionID}); err != nil {
-				if a.cfg.Logf != nil {
-					a.cfg.Logf("ingest: aggregator ack write: %v (connection dropped)", err)
-				}
-				return
-			}
-		}
-	}
-}
+// Addr returns the bound listen address (nil before Serve).
+func (a *Aggregator) Addr() net.Addr { return a.srv.Addr() }
 
-// Close shuts the accept plane down, giving live relay connections up to
-// grace to drain. It does not seal epochs — call SealAll (or SealThrough)
-// after Close so every delivered session is merged first.
-func (a *Aggregator) CloseGrace(grace time.Duration) error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return errors.New("ingest: aggregator already closed")
-	}
-	a.closed = true
-	ln := a.ln
-	a.mu.Unlock()
-
-	var closeErr error
-	if ln != nil {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			if err := tl.SetDeadline(time.Now().Add(150 * time.Millisecond)); err != nil {
-				closeErr = ln.Close()
-				ln = nil
-			}
-		} else {
-			closeErr = ln.Close()
-			ln = nil
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		a.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		a.mu.Lock()
-		for conn := range a.conns {
-			a.forceClosed.Add(1)
-			_ = conn.Close()
-		}
-		a.mu.Unlock()
-		<-done
-	}
-	if ln != nil {
-		if err := ln.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-	}
-	return closeErr
-}
+// CloseGrace shuts the accept plane down, giving live relay connections up
+// to grace to drain (see heartbeat.Server.CloseGrace). It does not seal
+// epochs — call SealAll (or SealThrough) after Close so every delivered
+// session is merged first.
+func (a *Aggregator) CloseGrace(grace time.Duration) error { return a.srv.CloseGrace(grace) }
 
 // Close is CloseGrace with a ten-second drain.
-func (a *Aggregator) Close() error { return a.CloseGrace(10 * time.Second) }
+func (a *Aggregator) Close() error { return a.srv.Close() }

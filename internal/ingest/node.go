@@ -13,7 +13,8 @@ import (
 // NodeConfig shapes one edge collector node.
 type NodeConfig struct {
 	// ID is the node's identity on the aggregator (stable across
-	// restarts); Incarnation must grow by one per restart.
+	// restarts); Incarnation must grow by one per restart and fit in 32
+	// bits.
 	ID          uint64
 	Incarnation uint64
 	// SpoolDir holds the node's relay segments; reuse it across restarts so

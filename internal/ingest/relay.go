@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -47,7 +48,7 @@ type RelayConfig struct {
 	// heartbeat.ControlSessionBit).
 	NodeID uint64
 	// Incarnation distinguishes restarts of the same node; the aggregator
-	// marks open epochs degraded when it grows.
+	// marks open epochs degraded when it grows. It must fit in 32 bits.
 	Incarnation uint64
 	// RotateEvery seals the active segment after this many sessions
 	// (default 256); sealed segments are what the send loop ships.
@@ -133,6 +134,9 @@ type Relay struct {
 func NewRelay(dial func() (net.Conn, error), cfg RelayConfig) (*Relay, error) {
 	if cfg.NodeID&heartbeat.ControlSessionBit != 0 {
 		return nil, fmt.Errorf("ingest: node ID %#x collides with the control bit", cfg.NodeID)
+	}
+	if cfg.Incarnation > math.MaxUint32 {
+		return nil, fmt.Errorf("ingest: incarnation %d overflows the 32-bit announce field", cfg.Incarnation)
 	}
 	if cfg.RotateEvery <= 0 {
 		cfg.RotateEvery = 256
@@ -364,7 +368,7 @@ func (r *Relay) announce() bool {
 		Kind:      heartbeat.KindHello,
 		SessionID: heartbeat.ControlSessionBit | r.cfg.NodeID,
 	}
-	m.Attrs[0] = int32(r.cfg.Incarnation)
+	m.Attrs[0] = int32(r.cfg.Incarnation) // NewRelay bounds it to 32 bits; read back as uint32
 	for {
 		err := r.snd.Send(&m)
 		if err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/heartbeat"
 	"repro/internal/testutil"
 )
 
@@ -206,5 +207,22 @@ func TestRelayStatusReachesAggregator(t *testing.T) {
 	}
 	if !cov.Degraded || res != nil {
 		t.Fatalf("reported shedding must degrade the epoch: %+v", cov)
+	}
+}
+
+// TestNewRelayRejectsOutOfRangeIdentity: the announce carries the node ID
+// below the control bit and the incarnation in 32 bits; a value that does
+// not fit would reach the aggregator as a different identity.
+func TestNewRelayRejectsOutOfRangeIdentity(t *testing.T) {
+	for _, cfg := range []RelayConfig{
+		{NodeID: heartbeat.ControlSessionBit | 1},
+		{NodeID: 1, Incarnation: 1 << 32},
+	} {
+		cfg.Dir = t.TempDir()
+		r, err := NewRelay(func() (net.Conn, error) { return nil, errors.New("no aggregator") }, cfg)
+		if err == nil {
+			r.Kill()
+			t.Errorf("NewRelay accepted node %#x incarnation %d", cfg.NodeID, cfg.Incarnation)
+		}
 	}
 }

@@ -33,15 +33,15 @@ func TestMutationKill(t *testing.T) {
 			wantMsg: "counter is still positive",
 		},
 		{
-			name:    "duplicate close(done) in Collector.CloseGrace's waiter",
+			name:    "duplicate close(done) in Server.CloseGrace's waiter",
 			rule:    "chandiscipline",
 			mutate:  duplicateWaiterClose,
 			wantMsg: "already closed on every path",
 		},
 		{
-			name:    "delete the exits of Collector.acceptLoop",
+			name:    "delete the exits of Server.acceptLoop",
 			rule:    "goleak",
-			mutate:  func(pkg *Package) bool { return deleteStmt(pkg, "Collector", "acceptLoop", isReturn) },
+			mutate:  func(pkg *Package) bool { return deleteStmt(pkg, "Server", "acceptLoop", isReturn) },
 			wantMsg: "can run forever with no channel operation",
 		},
 	}
@@ -341,11 +341,11 @@ func deleteStmtIn(fn *ast.FuncDecl, pred func(ast.Stmt) bool) bool {
 }
 
 // duplicateWaiterClose doubles the close(done) statement inside the waiter
-// goroutine literal of Collector.CloseGrace. Reusing the original node keeps
+// goroutine literal of Server.CloseGrace. Reusing the original node keeps
 // its type information valid, and the second occurrence runs with the
 // channel already definitely closed.
 func duplicateWaiterClose(pkg *Package) bool {
-	fn := findMethod(pkg, "Collector", "CloseGrace")
+	fn := findMethod(pkg, "Server", "CloseGrace")
 	if fn == nil {
 		return false
 	}
