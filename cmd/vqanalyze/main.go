@@ -34,8 +34,8 @@ import (
 	"repro/internal/trace"
 )
 
-// runDrill re-reads the trace, isolates one epoch, and runs the diagnostic
-// drill-down for the named cluster.
+// runDrill scans the trace once, keeps the sessions of one epoch, and runs
+// the diagnostic drill-down for the named cluster.
 func runDrill(space *attr.Space, path, keyText, metricName string, at int, cfg core.Config) error {
 	if metricName == "" {
 		return fmt.Errorf("-drill requires -metric")
@@ -48,32 +48,20 @@ func runDrill(space *attr.Space, path, keyText, metricName string, at int, cfg c
 	if err != nil {
 		return err
 	}
+	r, err := trace.Open(path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
 	var lites []cluster.Lite
-	// Prefer the epoch index (vqgen -index) for random access; fall back to
-	// a full scan.
-	if idx, err := trace.LoadIndex(path + ".idx"); err == nil {
-		batch, err := trace.ReadEpoch(path, idx, epoch.Index(at))
-		if err != nil {
-			return err
+	err = r.ForEach(func(s *session.Session) error {
+		if s.Epoch == epoch.Index(at) {
+			lites = append(lites, cluster.Digest(s, cfg.Thresholds))
 		}
-		for i := range batch {
-			lites = append(lites, cluster.Digest(&batch[i], cfg.Thresholds))
-		}
-	} else {
-		r, err := trace.Open(path)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		err = r.ForEach(func(s *session.Session) error {
-			if s.Epoch == epoch.Index(at) {
-				lites = append(lites, cluster.Digest(s, cfg.Thresholds))
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if len(lites) == 0 {
 		return fmt.Errorf("epoch %d has no sessions in %s", at, path)

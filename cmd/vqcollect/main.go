@@ -19,14 +19,16 @@
 //	vqcollect -addr 127.0.0.1:9823 -node-id 1 -incarnation 2 \
 //	    -aggregator 127.0.0.1:9833 -spool-dir /var/spool/vq-node1
 //
-// With -demo N it also spawns N simulated adaptive-bitrate players (package
-// player driving package cdn deliveries) against its own listener, so the
-// whole measurement pipeline can be exercised on one machine:
+// With -demo N it also reports the first N sessions of the synthetic trace
+// (package synth, at their own epochs and IDs) as heartbeats to its own
+// listener, so the whole measurement pipeline can be exercised on one
+// machine:
 //
 //	vqcollect -addr 127.0.0.1:9823 -out collected.vqt -demo 500
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,15 +39,11 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/attr"
-	"repro/internal/cdn"
 	"repro/internal/heartbeat"
 	"repro/internal/ingest"
-	"repro/internal/player"
 	"repro/internal/session"
-	"repro/internal/stats"
+	"repro/internal/synth"
 	"repro/internal/trace"
-	"repro/internal/world"
 )
 
 func main() {
@@ -58,8 +56,8 @@ func run() int {
 	var (
 		addr  = flag.String("addr", "127.0.0.1:9823", "TCP heartbeat listen address")
 		out   = flag.String("out", "collected.vqt", "trace file to append assembled sessions to")
-		demo  = flag.Int("demo", 0, "also run this many simulated player sessions against the collector")
-		seed  = flag.Uint64("seed", 1, "world seed for the demo players")
+		demo  = flag.Int("demo", 0, "also report the first this many synthetic sessions as heartbeats to the collector")
+		seed  = flag.Uint64("seed", 1, "synthetic trace seed: the demo sessions and the trace header's attribute names")
 		flush = flag.Duration("flush", 30*time.Second, "idle-session flush and trace sync interval")
 		grace = flag.Duration("grace", 10*time.Second, "connection drain deadline at shutdown")
 		spool = flag.Int("spool", 1024, "bounded session buffer between assembler and trace writer")
@@ -74,6 +72,13 @@ func run() int {
 	)
 	flag.Parse()
 
+	gcfg := synth.DefaultConfig()
+	gcfg.Seed = *seed
+	g, err := synth.New(gcfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	if *aggAddr != "" {
 		return runNode(nodeCfg{
 			addr:        *addr,
@@ -86,16 +91,11 @@ func run() int {
 			maxSegments: *maxSegments,
 			grace:       *grace,
 			demo:        *demo,
-			seed:        *seed,
+			gen:         g,
 		})
 	}
 
-	w, err := world.New(world.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	hdr := trace.HeaderFor(w.Space(), 1, *seed)
+	hdr := trace.HeaderFor(g.World().Space(), 1, *seed)
 	hdr.Comment = "sessions assembled by vqcollect"
 	// Atomic rotation: sessions stream into *out+".partial" and only a clean
 	// Close publishes *out, so downstream readers never open a half-written
@@ -147,7 +147,7 @@ func run() int {
 	}()
 
 	if *demo > 0 {
-		if err := runDemo(collector.Addr().String(), w, *seed, *demo); err != nil {
+		if err := runDemo(collector.Addr().String(), g, *demo); err != nil {
 			log.Printf("demo: %v", err)
 		}
 		// Demo mode: drain and exit.
@@ -202,7 +202,7 @@ type nodeCfg struct {
 	maxSegments int
 	grace       time.Duration
 	demo        int
-	seed        uint64
+	gen         *synth.Generator
 }
 
 // runNode runs vqcollect as one edge node of the distributed ingestion
@@ -236,11 +236,7 @@ func runNode(cfg nodeCfg) int {
 	}
 
 	if cfg.demo > 0 {
-		w, err := world.New(world.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := runDemo(nd.Addr().String(), w, cfg.seed, cfg.demo); err != nil {
+		if err := runDemo(nd.Addr().String(), cfg.gen, cfg.demo); err != nil {
 			log.Printf("demo: %v", err)
 		}
 		time.Sleep(200 * time.Millisecond)
@@ -294,34 +290,26 @@ func runNode(cfg nodeCfg) int {
 	return exit
 }
 
-// runDemo simulates n player sessions end-to-end: world attributes → CDN
-// delivery → ABR playback → heartbeats over TCP through the reconnecting
-// Sender (the fault-tolerant client the chaos tests exercise).
-func runDemo(addr string, w *world.World, seed uint64, n int) error {
-	model, err := cdn.New(w, cdn.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	snd := heartbeat.DialSender(addr, heartbeat.SenderConfig{Seed: seed})
+// errDemoDone stops the generator once the demo has sent its sessions.
+var errDemoDone = errors.New("demo: all sessions sent")
+
+// runDemo reports the generator's first n sessions, in epoch order with
+// their own IDs, as heartbeats over TCP through the reconnecting Sender
+// (the fault-tolerant client the chaos tests exercise).
+func runDemo(addr string, g *synth.Generator, n int) error {
+	snd := heartbeat.DialSender(addr, heartbeat.SenderConfig{Seed: g.Config().Seed})
 	snd.Logf = log.Printf
 	defer snd.Close()
-	rng := stats.NewRNG(seed).Split(0xDE)
-	abrs := []player.ABR{player.RateBased{}, player.BufferBased{}, player.Fixed{Index: 1}}
-	for i := 0; i < n; i++ {
-		attrs := w.SampleAttrs(rng)
-		site := &w.Sites[attrs[attr.Site]]
-		load := cdn.LoadCurve(20, 1.1)
-		d := model.Deliver(rng, attrs[attr.CDN], attrs[attr.ASN], load, site.LowPriority)
-		net := player.NewMarkovNetwork(rng.Split(uint64(i)), d.ThroughputKbps, 20)
-		res, err := player.Play(rng, site.BitrateLadder, abrs[i%len(abrs)], net,
-			player.DefaultConfig(), 120+float64(rng.Intn(480)), d.FailProb, d.RTTms/1000)
-		if err != nil {
-			return err
+	sent := 0
+	err := g.ForEach(func(s *session.Session) error {
+		if sent == n {
+			return errDemoDone
 		}
-		s := session.Session{ID: uint64(i + 1), Epoch: 0, Attrs: attrs, QoE: res.QoE, EventIDs: session.NoEvents}
-		if err := snd.EmitSession(&s, 2); err != nil {
-			return err
-		}
+		sent++
+		return snd.EmitSession(s, 2)
+	})
+	if errors.Is(err, errDemoDone) {
+		return nil
 	}
-	return nil
+	return err
 }

@@ -1,13 +1,12 @@
 // Command vqgen generates a synthetic video-session trace — the stand-in
 // for the paper's proprietary dataset — and writes it as a trace container
-// (or CSV) for later analysis with vqanalyze.
+// for later analysis with vqanalyze, or as JSON lines for outside tools.
+// Both forms stream: one session is encoded as the generator yields it.
 //
 // Usage:
 //
 //	vqgen -out trace.vqt.gz [-epochs 336] [-sessions 4000] [-seed 1]
-//	vqgen -out trace.csv -csv ...        # CSV interchange
-//	vqgen -out trace.jsonl -jsonl ...    # JSON-lines interchange
-//	vqgen -out trace.vqt -index ...      # plus epoch index for random access
+//	vqgen -out trace.jsonl -jsonl ...    # JSON lines, one per session
 package main
 
 import (
@@ -27,13 +26,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vqgen: ")
 	var (
-		out      = flag.String("out", "trace.vqt.gz", "output path (.gz compresses; with -csv, CSV text)")
+		out      = flag.String("out", "trace.vqt.gz", "output path (.gz compresses the binary container)")
 		epochs   = flag.Int("epochs", epoch.DefaultTraceEpochs, "number of one-hour epochs (paper: 336 = two weeks)")
 		sessions = flag.Int("sessions", 4000, "mean sessions per epoch")
 		seed     = flag.Uint64("seed", 1, "universe seed (identical seeds reproduce identical traces)")
-		asCSV    = flag.Bool("csv", false, "write CSV instead of the binary container")
 		asJSONL  = flag.Bool("jsonl", false, "write JSON lines instead of the binary container")
-		index    = flag.Bool("index", false, "also write an epoch index (<out>.idx) for random access; uncompressed binary traces only")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -68,22 +65,16 @@ func main() {
 	defer f.Close()
 
 	var count uint64
-	if *asCSV || *asJSONL {
-		var all []session.Session
-		if err := g.ForEach(func(s *session.Session) error {
-			all = append(all, *s)
-			return nil
-		}); err != nil {
+	if *asJSONL {
+		counted := func(fn func(*session.Session) error) error {
+			return g.ForEach(func(s *session.Session) error {
+				count++
+				return fn(s)
+			})
+		}
+		if err := session.WriteJSONL(f, counted); err != nil {
 			log.Fatal(err)
 		}
-		write := session.WriteCSV
-		if *asJSONL {
-			write = session.WriteJSONL
-		}
-		if err := write(f, all); err != nil {
-			log.Fatal(err)
-		}
-		count = uint64(len(all))
 	} else {
 		hdr := trace.HeaderFor(g.World().Space(), *epochs, *seed)
 		hdr.Comment = fmt.Sprintf("vqgen -epochs %d -sessions %d -seed %d", *epochs, *sessions, *seed)
@@ -99,23 +90,8 @@ func main() {
 		}
 		count = w.Count()
 	}
-	if *index {
-		if *asCSV || *asJSONL || (len(*out) > 3 && (*out)[len(*out)-3:] == ".gz") {
-			log.Fatal("-index requires an uncompressed binary trace")
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		idx, err := trace.BuildIndex(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := idx.Save(*out + ".idx"); err != nil {
-			log.Fatal(err)
-		}
-		if !*quiet {
-			fmt.Printf("wrote epoch index to %s.idx (%d epochs)\n", *out, len(idx.Entries))
-		}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
 	}
 	if !*quiet {
 		fmt.Printf("wrote %d sessions across %d epochs to %s (%d ground-truth events)\n",

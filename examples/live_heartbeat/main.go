@@ -1,9 +1,8 @@
 // Live heartbeat pipeline: the full measurement stack on one machine —
-// simulated adaptive-bitrate players (package player) experience CDN
-// deliveries (package cdn), report heartbeats over real TCP to a collector
+// synth sessions are reported as heartbeats over real TCP to a collector
 // (package heartbeat), and the assembled sessions are clustered exactly
-// like a trace from disk. One CDN is deliberately overloaded so the
-// analysis has something to find.
+// like a trace from disk. One CDN is deliberately overloaded, injected as
+// a ground-truth event, so the analysis has something to find.
 //
 //	go run ./examples/live_heartbeat
 package main
@@ -15,15 +14,14 @@ import (
 	"sync"
 
 	"repro/internal/attr"
-	"repro/internal/cdn"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/epoch"
+	"repro/internal/events"
 	"repro/internal/heartbeat"
 	"repro/internal/metric"
-	"repro/internal/player"
 	"repro/internal/session"
-	"repro/internal/stats"
-	"repro/internal/world"
+	"repro/internal/synth"
 )
 
 const (
@@ -33,14 +31,29 @@ const (
 
 func main() {
 	log.SetFlags(0)
-	w, err := world.New(world.DefaultConfig())
+
+	// One hour of sessions. The overloaded CDN raises the chance of a
+	// buffering problem and of a join failure for each session it serves,
+	// on top of the normal background.
+	gcfg := synth.DefaultConfig()
+	gcfg.Trace = epoch.Range{Start: 0, End: 1}
+	gcfg.SessionsPerEpoch = numSessions
+	overloaded := attr.NewKey(map[attr.Dim]int32{attr.CDN: brokenCDN})
+	for _, m := range []metric.Metric{metric.BufRatio, metric.JoinFailure} {
+		gcfg.Events.Extra = append(gcfg.Events.Extra, events.Event{
+			Metric:    m,
+			Anchor:    overloaded,
+			Severity:  0.4,
+			Intervals: []epoch.Range{gcfg.Trace},
+			Tag:       "overloaded-cdn",
+		})
+	}
+	g, err := synth.New(gcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	delivery, err := cdn.New(w, cdn.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	w := g.World()
+	reported := g.EpochSessions(0)
 
 	// Collector side.
 	var mu sync.Mutex
@@ -55,8 +68,8 @@ func main() {
 		log.Fatal(err)
 	}
 	addr := collector.Addr().String()
-	fmt.Printf("collector listening on %s; driving %d simulated players (CDN %s overloaded)\n",
-		addr, numSessions, w.CDNs[brokenCDN].Name)
+	fmt.Printf("collector listening on %s; reporting %d sessions (CDN %s overloaded)\n",
+		addr, len(reported), w.CDNs[brokenCDN].Name)
 
 	// Client side: a handful of concurrent reporters, as real player fleets
 	// multiplex through shared beacon connections.
@@ -73,28 +86,8 @@ func main() {
 			}
 			defer conn.Close()
 			em := &heartbeat.Emitter{W: heartbeat.NewWriter(conn), ProgressEvery: 2}
-			rng := stats.NewRNG(42).Split(uint64(rep))
-			abrs := []player.ABR{player.RateBased{}, player.BufferBased{}}
-			for i := rep; i < numSessions; i += reporters {
-				attrs := w.SampleAttrs(rng)
-				site := &w.Sites[attrs[attr.Site]]
-				load := 0.7
-				if attrs[attr.CDN] == brokenCDN {
-					load = 1.8 // overloaded
-				}
-				d := delivery.Deliver(rng, attrs[attr.CDN], attrs[attr.ASN], load, site.LowPriority)
-				netModel := player.NewMarkovNetwork(rng.Split(uint64(i)), d.ThroughputKbps, 20)
-				res, err := player.Play(rng, site.BitrateLadder, abrs[i%len(abrs)], netModel,
-					player.DefaultConfig(), 120+float64(rng.Intn(300)), d.FailProb, d.RTTms/1000)
-				if err != nil {
-					log.Printf("play: %v", err)
-					return
-				}
-				s := session.Session{
-					ID: uint64(i + 1), Epoch: 0, Attrs: attrs,
-					QoE: res.QoE, EventIDs: session.NoEvents,
-				}
-				if err := em.EmitSession(&s); err != nil {
+			for i := rep; i < len(reported); i += reporters {
+				if err := em.EmitSession(&reported[i]); err != nil {
 					log.Printf("emit: %v", err)
 					return
 				}

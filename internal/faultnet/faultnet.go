@@ -3,7 +3,7 @@
 // single seed, the network pathologies the paper's measurement channel had
 // to survive — stalls, connection resets, partial writes, in-flight byte
 // corruption, and transient accept failures. The chaos soak test in
-// internal/heartbeat drives hundreds of simulated players through these
+// internal/heartbeat drives hundreds of players through these
 // wrappers and asserts the collector pipeline degrades by accounting, not
 // by crashing.
 //

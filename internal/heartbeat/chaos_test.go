@@ -7,24 +7,22 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/attr"
 	"repro/internal/epoch"
 	"repro/internal/faultnet"
-	"repro/internal/player"
 	"repro/internal/session"
-	"repro/internal/stats"
+	"repro/internal/synth"
 	"repro/internal/testutil"
 )
 
-// chaosSeed pins the whole soak — player behaviour, fault schedules, and
-// backoff jitter — so a failure replays exactly.
+// chaosSeed pins the whole soak — the reported sessions, fault schedules,
+// and backoff jitter — so a failure replays exactly.
 const chaosSeed = 0xC0DE
 
-// TestChaosSoak drives hundreds of simulated players through a
-// fault-injecting network into one collector and checks that the pipeline
-// degrades by accounting, never by crashing: zero handler panics, zero
-// leaked goroutines, and every session started is either delivered through
-// the spool, shed with a counter, or salvaged as a join failure.
+// TestChaosSoak drives hundreds of players through a fault-injecting
+// network into one collector and checks that the pipeline degrades by
+// accounting, never by crashing: zero handler panics, zero leaked
+// goroutines, and every session started is either delivered through the
+// spool, shed with a counter, or salvaged as a join failure.
 //
 // Enabled fault classes: write stalls, connection resets, partial writes
 // (all client-side), and transient accept failures (server-side). In-flight
@@ -61,8 +59,18 @@ func TestChaosSoak(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 
-	ladder := []float64{400, 1000, 2500, 5000}
-	abrs := []player.ABR{player.RateBased{}, player.BufferBased{}, player.Fixed{Index: 1}}
+	// The sessions the players report: attributes and QoE from one synth
+	// epoch of exactly `players` sessions (no diurnal swing).
+	gcfg := synth.DefaultConfig()
+	gcfg.Seed = chaosSeed
+	gcfg.Trace = epoch.Range{Start: 0, End: 1}
+	gcfg.SessionsPerEpoch = players
+	gcfg.DiurnalAmplitude = 0
+	g, err := synth.New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := g.EpochSessions(0)
 
 	var (
 		connMu      sync.Mutex
@@ -76,20 +84,11 @@ func TestChaosSoak(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 
-			// Simulate the session this player will report.
-			prng := stats.NewRNG(chaosSeed).Split(uint64(1000 + i))
-			netw := player.NewMarkovNetwork(prng.Split(1), 1500+float64((i*37)%2000), 10)
-			res, err := player.Play(prng.Split(2), ladder, abrs[i%len(abrs)], netw,
-				player.DefaultConfig(), 90, 0.05, 0.03)
-			if err != nil {
-				t.Errorf("player %d: %v", i, err)
-				return
-			}
 			sess := session.Session{
 				ID:       uint64(i + 1),
 				Epoch:    epoch.Index(i % 4),
-				Attrs:    attr.Vector{int32(i % 3), int32(i % 2), int32(i % 4), 0, 1, 0, 1},
-				QoE:      res.QoE,
+				Attrs:    reported[i].Attrs,
+				QoE:      reported[i].QoE,
 				EventIDs: session.NoEvents,
 			}
 

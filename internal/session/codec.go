@@ -1,14 +1,9 @@
 package session
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/attr"
 	"repro/internal/epoch"
@@ -83,130 +78,3 @@ func DecodeBinary(b []byte, s *Session) (int, error) {
 
 // BinarySize returns the fixed record width of the binary encoding.
 func BinarySize() int { return binarySize }
-
-// CSVHeader is the column list of the CSV encoding.
-var CSVHeader = []string{
-	"id", "epoch",
-	"asn", "cdn", "site", "vod_or_live", "player_type", "browser", "conn_type",
-	"join_failed", "join_time_ms", "buf_ratio", "bitrate_kbps", "duration_s",
-	"event_bufratio", "event_bitrate", "event_jointime", "event_joinfailure",
-}
-
-// AppendCSV appends one CSV line (without trailing newline) for s.
-func AppendCSV(dst []byte, s *Session) []byte {
-	dst = strconv.AppendUint(dst, s.ID, 10)
-	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(s.Epoch), 10)
-	for i := 0; i < attr.NumDims; i++ {
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(s.Attrs[i]), 10)
-	}
-	dst = append(dst, ',')
-	if s.QoE.JoinFailed {
-		dst = append(dst, '1')
-	} else {
-		dst = append(dst, '0')
-	}
-	for _, v := range []float64{s.QoE.JoinTimeMS, s.QoE.BufRatio, s.QoE.BitrateKbps, s.QoE.DurationS} {
-		dst = append(dst, ',')
-		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
-	}
-	for i := 0; i < metric.NumMetrics; i++ {
-		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(s.EventIDs[i]), 10)
-	}
-	return dst
-}
-
-// ParseCSV parses one CSV line produced by AppendCSV.
-func ParseCSV(line string) (Session, error) {
-	fields := strings.Split(strings.TrimSpace(line), ",")
-	if len(fields) != len(CSVHeader) {
-		return Session{}, fmt.Errorf("session: CSV line has %d fields, want %d", len(fields), len(CSVHeader))
-	}
-	var s Session
-	var err error
-	if s.ID, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
-		return Session{}, fmt.Errorf("session: bad id %q: %w", fields[0], err)
-	}
-	e, err := strconv.ParseInt(fields[1], 10, 32)
-	if err != nil {
-		return Session{}, fmt.Errorf("session: bad epoch %q: %w", fields[1], err)
-	}
-	s.Epoch = epoch.Index(e)
-	for i := 0; i < attr.NumDims; i++ {
-		v, err := strconv.ParseInt(fields[2+i], 10, 32)
-		if err != nil {
-			return Session{}, fmt.Errorf("session: bad attribute %q: %w", fields[2+i], err)
-		}
-		s.Attrs[i] = int32(v)
-	}
-	switch fields[9] {
-	case "0":
-	case "1":
-		s.QoE.JoinFailed = true
-	default:
-		return Session{}, fmt.Errorf("session: bad join_failed %q", fields[9])
-	}
-	floats := []*float64{&s.QoE.JoinTimeMS, &s.QoE.BufRatio, &s.QoE.BitrateKbps, &s.QoE.DurationS}
-	for i, p := range floats {
-		v, err := strconv.ParseFloat(fields[10+i], 64)
-		if err != nil {
-			return Session{}, fmt.Errorf("session: bad float %q: %w", fields[10+i], err)
-		}
-		*p = v
-	}
-	for i := 0; i < metric.NumMetrics; i++ {
-		ev, err := strconv.ParseInt(fields[14+i], 10, 32)
-		if err != nil {
-			return Session{}, fmt.Errorf("session: bad event id %q: %w", fields[14+i], err)
-		}
-		s.EventIDs[i] = int32(ev)
-	}
-	return s, nil
-}
-
-// WriteCSV writes a header plus one line per session to w.
-func WriteCSV(w io.Writer, sessions []Session) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(strings.Join(CSVHeader, ",") + "\n"); err != nil {
-		return err
-	}
-	var buf []byte
-	for i := range sessions {
-		buf = AppendCSV(buf[:0], &sessions[i])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV reads sessions written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Session, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, errors.New("session: empty CSV input")
-	}
-	if got := strings.TrimSpace(sc.Text()); got != strings.Join(CSVHeader, ",") {
-		return nil, fmt.Errorf("session: unexpected CSV header %q", got)
-	}
-	var out []Session
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		s, err := ParseCSV(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", len(out)+2, err)
-		}
-		out = append(out, s)
-	}
-	return out, sc.Err()
-}

@@ -30,26 +30,3 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseCSV ensures arbitrary lines never panic the CSV parser.
-func FuzzParseCSV(f *testing.F) {
-	s := sample()
-	f.Add(string(AppendCSV(nil, &s)))
-	f.Add("")
-	f.Add("1,2,3")
-	f.Add("x,y,z,,,,,,,,,,,,,,,")
-	f.Fuzz(func(t *testing.T, line string) {
-		got, err := ParseCSV(line)
-		if err != nil {
-			return
-		}
-		rendered := string(AppendCSV(nil, &got))
-		back, err := ParseCSV(rendered)
-		if err != nil {
-			t.Fatalf("re-rendered line failed to parse: %v", err)
-		}
-		if again := string(AppendCSV(nil, &back)); again != rendered {
-			t.Fatal("CSV round trip not text-stable")
-		}
-	})
-}

@@ -3,12 +3,9 @@ package session
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/attr"
-	"repro/internal/epoch"
-	"repro/internal/metric"
 )
 
 // jsonSession is the JSON-lines interchange shape: flat, snake_case,
@@ -55,56 +52,17 @@ func toJSON(s *Session) jsonSession {
 	return j
 }
 
-func (j *jsonSession) toSession() Session {
-	s := Session{
-		ID:    j.ID,
-		Epoch: epoch.Index(j.Epoch),
-		QoE: metric.QoE{
-			JoinFailed:  j.JoinFailed,
-			JoinTimeMS:  j.JoinTimeMS,
-			BufRatio:    j.BufRatio,
-			BitrateKbps: j.Bitrate,
-			DurationS:   j.DurationS,
-		},
-		EventIDs: NoEvents,
-	}
-	s.Attrs[attr.ASN] = j.ASN
-	s.Attrs[attr.CDN] = j.CDN
-	s.Attrs[attr.Site] = j.Site
-	s.Attrs[attr.VoDOrLive] = j.VoDOrLive
-	s.Attrs[attr.PlayerType] = j.PlayerType
-	s.Attrs[attr.Browser] = j.Browser
-	s.Attrs[attr.ConnType] = j.ConnType
-	if len(j.Events) == metric.NumMetrics {
-		copy(s.EventIDs[:], j.Events)
-	}
-	return s
-}
-
-// WriteJSONL streams sessions as JSON lines.
-func WriteJSONL(w io.Writer, sessions []Session) error {
+// WriteJSONL streams sessions as JSON lines, one line per session in the
+// order forEach yields them, so a trace of any length is never held in
+// memory. forEach has the shape of synth.Generator.ForEach.
+func WriteJSONL(w io.Writer, forEach func(func(*Session) error) error) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range sessions {
-		j := toJSON(&sessions[i])
-		if err := enc.Encode(&j); err != nil {
-			return err
-		}
+	if err := forEach(func(s *Session) error {
+		j := toJSON(s)
+		return enc.Encode(&j)
+	}); err != nil {
+		return err
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL reads sessions written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Session, error) {
-	dec := json.NewDecoder(r)
-	var out []Session
-	for {
-		var j jsonSession
-		if err := dec.Decode(&j); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("session: JSONL record %d: %w", len(out)+1, err)
-		}
-		out = append(out, j.toSession())
-	}
 }

@@ -1,7 +1,7 @@
 // Package session defines the video session record — the basic unit of the
-// dataset (paper §2) — and codecs for moving sessions through pipes, files,
-// and the heartbeat collector: a compact fixed-width binary encoding for
-// bulk traces and a CSV encoding for interchange and inspection.
+// dataset (paper §2) — and its encodings: a compact fixed-width binary
+// record for traces and the heartbeat tier, and streamed JSON lines for
+// export to outside tools.
 package session
 
 import (

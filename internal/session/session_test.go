@@ -1,8 +1,6 @@
 package session
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -85,45 +83,6 @@ func TestBinaryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	sessions := []Session{sample(), {ID: 2, EventIDs: NoEvents, QoE: metric.QoE{JoinFailed: true}}}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sessions); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(sessions) {
-		t.Fatalf("read %d sessions, want %d", len(got), len(sessions))
-	}
-	for i := range sessions {
-		if got[i] != sessions[i] {
-			t.Errorf("session %d mismatch:\n got %+v\nwant %+v", i, got[i], sessions[i])
-		}
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("bogus,header\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-	header := strings.Join(CSVHeader, ",")
-	if _, err := ReadCSV(strings.NewReader(header + "\n1,2,3\n")); err == nil {
-		t.Error("short line accepted")
-	}
-	if _, err := ParseCSV("x,0,0,0,0,0,0,0,0,0,0,0,0,0,0"); err == nil {
-		t.Error("bad id accepted")
-	}
-	if _, err := ParseCSV("1,0,0,0,0,0,0,0,0,2,0,0,0,0,0"); err == nil {
-		t.Error("bad join_failed accepted")
 	}
 }
 

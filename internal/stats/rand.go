@@ -78,11 +78,6 @@ func (r *RNG) nonZero() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	return -math.Log(r.nonZero())
-}
-
 // LogNormal returns a lognormal variate with the given parameters of the
 // underlying normal (mu, sigma). The median is e^mu.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {

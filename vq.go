@@ -11,11 +11,11 @@
 // Because the original Conviva dataset is proprietary, this module couples
 // the paper's full analysis pipeline with a calibrated synthetic substrate:
 // a world of 379 content providers, 19 CDNs and hundreds of ASNs; injected
-// ground-truth problem events with heavy-tailed durations; an
-// adaptive-bitrate player simulation; and a TCP heartbeat measurement
-// pipeline. Every table and figure of the paper's evaluation is regenerated
-// by the experiments suite, and — uniquely possible in a synthetic setting
-// — detections are validated against ground truth.
+// ground-truth problem events with heavy-tailed durations; and a TCP
+// heartbeat measurement pipeline that carries the synthetic sessions.
+// Every table and figure of the paper's evaluation is regenerated by the
+// experiments suite, and — uniquely possible in a synthetic setting —
+// detections are validated against ground truth.
 //
 // # Quick start
 //
@@ -26,8 +26,7 @@
 //
 // The cmd/ directory holds the executables (vqgen, vqanalyze, vqreport,
 // vqcollect, vqmonitor); examples/ holds runnable scenario walkthroughs
-// (quickstart, isp_outage, multicdn_whatif, live_heartbeat,
-// abr_comparison); DESIGN.md and
+// (quickstart, isp_outage, multicdn_whatif, live_heartbeat); DESIGN.md and
 // EXPERIMENTS.md document the system inventory and the paper-vs-measured
 // numbers.
 package repro
