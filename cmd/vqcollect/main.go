@@ -95,8 +95,7 @@ func run() int {
 		})
 	}
 
-	hdr := trace.HeaderFor(g.World().Space(), 1, *seed)
-	hdr.Comment = "sessions assembled by vqcollect"
+	hdr := traceHeader(g, *seed)
 	// Atomic rotation: sessions stream into *out+".partial" and only a clean
 	// Close publishes *out, so downstream readers never open a half-written
 	// container. Periodic fsync bounds what a crash can lose.
@@ -288,6 +287,15 @@ func runNode(cfg nodeCfg) int {
 		exit = 1
 	}
 	return exit
+}
+
+// traceHeader is the header of a collected trace: the attribute names come
+// from the generator's world, and the span is unknown (Epochs 0) because it
+// is written before any session arrives.
+func traceHeader(g *synth.Generator, seed uint64) trace.Header {
+	hdr := trace.HeaderFor(g.World().Space(), 0, seed)
+	hdr.Comment = "sessions assembled by vqcollect"
+	return hdr
 }
 
 // errDemoDone stops the generator once the demo has sent its sessions.

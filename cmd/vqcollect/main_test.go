@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/heartbeat"
+	"repro/internal/ingest"
 	"repro/internal/session"
 	"repro/internal/synth"
 	"repro/internal/testutil"
@@ -64,6 +68,81 @@ func TestDemoReportsGeneratorSessions(t *testing.T) {
 	}
 	if first, last := got[0].Epoch, got[len(got)-1].Epoch; first != 0 || last != 1 {
 		t.Fatalf("demo spans epochs %d..%d, want 0..1", first, last)
+	}
+
+	// The collector's trace header cannot know that span in advance.
+	if hdr := traceHeader(g, cfg.Seed); hdr.Epochs != 0 || hdr.Seed != cfg.Seed {
+		t.Errorf("trace header epochs %d seed %d, want 0 (span unknown) and %d", hdr.Epochs, hdr.Seed, cfg.Seed)
+	}
+}
+
+// TestRunNodeDemoMatchesAnalyzeEpoch runs node mode end to end: the demo's
+// sessions cross the node's collector, spool and relay to an in-process
+// aggregator, and every fully sent epoch seals to exactly what
+// core.AnalyzeEpoch computes over the generator's sessions of that epoch.
+func TestRunNodeDemoMatchesAnalyzeEpoch(t *testing.T) {
+	defer testutil.CheckGoroutineLeaks(t)()
+
+	cfg := synth.DefaultConfig()
+	cfg.Seed = 5
+	cfg.SessionsPerEpoch = 100
+	cfg.Trace = epoch.Range{Start: 0, End: 4}
+	g, err := synth.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Epochs 0 and 1 in full, and half of epoch 2.
+	full := []epoch.Index{0, 1}
+	n := g.EpochVolume(0) + g.EpochVolume(1) + g.EpochVolume(2)/2
+
+	analysis := core.DefaultConfig(cfg.SessionsPerEpoch)
+	sealed := make(map[epoch.Index]*core.EpochResult)
+	agg, err := ingest.NewAggregator(ingest.AggregatorConfig{
+		Analysis: analysis,
+		OnSeal:   func(c ingest.Coverage, r *core.EpochResult) { sealed[c.Epoch] = r },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	code := runNode(nodeCfg{
+		addr:        "127.0.0.1:0",
+		aggregator:  agg.Addr().String(),
+		nodeID:      1,
+		spoolDir:    t.TempDir(),
+		spoolCap:    1024,
+		rotate:      64,
+		maxSegments: 64,
+		grace:       5 * time.Second,
+		demo:        n,
+		gen:         g,
+	})
+	if code != 0 {
+		t.Fatalf("runNode exit code %d, want 0", code)
+	}
+	if err := agg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.SealAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, e := range full {
+		sessions := g.EpochSessions(e)
+		sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
+		lites := make([]cluster.Lite, len(sessions))
+		for i := range sessions {
+			lites[i] = cluster.Digest(&sessions[i], analysis.Thresholds)
+		}
+		want, err := core.AnalyzeEpoch(e, lites, analysis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sealed[e]; !reflect.DeepEqual(got, want) {
+			t.Errorf("epoch %d sealed\n got %+v\nwant %+v", e, got, want)
+		}
 	}
 }
 

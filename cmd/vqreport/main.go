@@ -126,6 +126,10 @@ func main() {
 	}
 }
 
+// stabilitySeeds is the number of reduced datasets the robustness table
+// redraws the generator for.
+const stabilitySeeds = 3
+
 func renderAblations(w io.Writer, suite *experiments.Suite) {
 	steps := []func() error{
 		func() error { _, err := suite.Headlines(w); return err },
@@ -137,6 +141,7 @@ func renderAblations(w io.Writer, suite *experiments.Suite) {
 		func() error { _, err := suite.CriticalTemporalStats(w); return err },
 		func() error { _, err := suite.WeeklyConsistency(w); return err },
 		func() error { _, err := suite.Engagement(w); return err },
+		func() error { _, err := suite.StabilityAcrossSeeds(w, stabilitySeeds); return err },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {

@@ -43,23 +43,14 @@ func (d Dim) String() string {
 	return fmt.Sprintf("Dim(%d)", uint8(d))
 }
 
-// ParseDim converts a dimension name (case-insensitive) into a Dim.
-func ParseDim(s string) (Dim, error) {
+// parseDim converts a dimension name (case-insensitive) into a Dim.
+func parseDim(s string) (Dim, error) {
 	for i, n := range dimNames {
 		if strings.EqualFold(s, n) {
 			return Dim(i), nil
 		}
 	}
 	return 0, fmt.Errorf("attr: unknown dimension %q", s)
-}
-
-// Dims returns all dimensions in order.
-func Dims() [NumDims]Dim {
-	var ds [NumDims]Dim
-	for i := range ds {
-		ds[i] = Dim(i)
-	}
-	return ds
 }
 
 // Mask is a bit set over the seven dimensions: bit i is set when Dim(i)
@@ -82,8 +73,8 @@ func MaskOf(dims ...Dim) Mask {
 // Has reports whether dimension d is in the mask.
 func (m Mask) Has(d Dim) bool { return m&(1<<d) != 0 }
 
-// With returns the mask with dimension d added.
-func (m Mask) With(d Dim) Mask { return m | 1<<d }
+// with returns the mask with dimension d added.
+func (m Mask) with(d Dim) Mask { return m | 1<<d }
 
 // Without returns the mask with dimension d removed.
 func (m Mask) Without(d Dim) Mask { return m &^ (1 << d) }
@@ -91,8 +82,8 @@ func (m Mask) Without(d Dim) Mask { return m &^ (1 << d) }
 // Size returns the number of dimensions in the mask.
 func (m Mask) Size() int { return bits.OnesCount8(uint8(m)) }
 
-// SubsetOf reports whether every dimension of m is also in n.
-func (m Mask) SubsetOf(n Mask) bool { return m&^n == 0 }
+// subsetOf reports whether every dimension of m is also in n.
+func (m Mask) subsetOf(n Mask) bool { return m&^n == 0 }
 
 // Dims returns the dimensions present in the mask, in order.
 func (m Mask) Dims() []Dim {
@@ -124,10 +115,10 @@ func (m Mask) String() string {
 	return b.String()
 }
 
-// AllMasks returns every non-empty mask (the 127 attribute combinations a
+// allMasks returns every non-empty mask (the 127 attribute combinations a
 // session belongs to), ordered by size then numeric value, so coarser
 // combinations come first. The result is freshly allocated.
-func AllMasks() []Mask {
+func allMasks() []Mask {
 	ms := make([]Mask, 0, int(AllDims))
 	for m := Mask(1); m <= AllDims; m++ {
 		ms = append(ms, m)
@@ -143,7 +134,7 @@ func AllMasks() []Mask {
 }
 
 // MasksUpTo returns every non-empty mask with at most maxDims dimensions,
-// in the same order as AllMasks. maxDims values outside [1, NumDims] are
+// in the same order as allMasks. maxDims values outside [1, NumDims] are
 // clamped.
 func MasksUpTo(maxDims int) []Mask {
 	if maxDims < 1 {
@@ -152,7 +143,7 @@ func MasksUpTo(maxDims int) []Mask {
 	if maxDims > NumDims {
 		maxDims = NumDims
 	}
-	all := AllMasks()
+	all := allMasks()
 	out := all[:0:0]
 	for _, m := range all {
 		if m.Size() <= maxDims {
@@ -166,9 +157,6 @@ func MasksUpTo(maxDims int) []Mask {
 // per dimension. Value identifiers index into a Space catalog; they carry no
 // meaning of their own.
 type Vector [NumDims]int32
-
-// Get returns the value of dimension d.
-func (v Vector) Get(d Dim) int32 { return v[d] }
 
 // Key identifies a cluster: a set of fixed dimensions (Mask) together with
 // their values. Positions outside the mask are always zero, so Key values
@@ -200,7 +188,7 @@ func KeyOf(v Vector, m Mask) Key {
 func NewKey(pairs map[Dim]int32) Key {
 	var k Key
 	for d, v := range pairs {
-		k.Mask = k.Mask.With(d)
+		k.Mask = k.Mask.with(d)
 		k.Vals[d] = v
 	}
 	return k
@@ -238,7 +226,7 @@ func (k Key) Matches(v Vector) bool {
 // DAG: k's fixed dimensions are a subset of other's and the values agree.
 // The root subsumes everything.
 func (k Key) Subsumes(other Key) bool {
-	if !k.Mask.SubsetOf(other.Mask) {
+	if !k.Mask.subsetOf(other.Mask) {
 		return false
 	}
 	for d := Dim(0); d < NumDims; d++ {
@@ -277,14 +265,14 @@ func (k Key) Parents() []Key {
 
 // Child returns the key with dimension d fixed to value val.
 func (k Key) Child(d Dim, val int32) Key {
-	k.Mask = k.Mask.With(d)
+	k.Mask = k.Mask.with(d)
 	k.Vals[d] = val
 	return k
 }
 
-// Project returns the sub-key of k restricted to mask m. Dimensions of m
+// project returns the sub-key of k restricted to mask m. Dimensions of m
 // that k does not fix are dropped, so the result's mask is k.Mask ∩ m.
-func (k Key) Project(m Mask) Key {
+func (k Key) project(m Mask) Key {
 	var out Key
 	out.Mask = k.Mask & m
 	for d := Dim(0); d < NumDims; d++ {
@@ -303,7 +291,7 @@ func (k Key) SubKeys() []Key {
 	out := make([]Key, 0, 1<<n-1)
 	// Iterate sub-masks of k.Mask using the standard sub-mask walk.
 	for sub := k.Mask; sub > 0; sub = (sub - 1) & k.Mask {
-		out = append(out, k.Project(sub))
+		out = append(out, k.project(sub))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		si, sj := out[i].Mask.Size(), out[j].Mask.Size()

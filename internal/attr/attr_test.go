@@ -16,16 +16,16 @@ func TestMaskBasics(t *testing.T) {
 	if got := m.Size(); got != 2 {
 		t.Errorf("Size() = %d, want 2", got)
 	}
-	if got := m.With(Site).Size(); got != 3 {
+	if got := m.with(Site).Size(); got != 3 {
 		t.Errorf("With(Site).Size() = %d, want 3", got)
 	}
 	if got := m.Without(CDN); got != MaskOf(ASN) {
 		t.Errorf("Without(CDN) = %v, want %v", got, MaskOf(ASN))
 	}
-	if !MaskOf(ASN).SubsetOf(m) {
+	if !MaskOf(ASN).subsetOf(m) {
 		t.Errorf("MaskOf(ASN).SubsetOf(%v) = false, want true", m)
 	}
-	if m.SubsetOf(MaskOf(ASN)) {
+	if m.subsetOf(MaskOf(ASN)) {
 		t.Errorf("%v.SubsetOf(ASN) = true, want false", m)
 	}
 }
@@ -45,22 +45,22 @@ func TestMaskDims(t *testing.T) {
 }
 
 func TestAllMasks(t *testing.T) {
-	ms := AllMasks()
+	ms := allMasks()
 	if len(ms) != 127 {
-		t.Fatalf("len(AllMasks()) = %d, want 127", len(ms))
+		t.Fatalf("len(allMasks()) = %d, want 127", len(ms))
 	}
 	seen := make(map[Mask]bool)
 	prevSize := 0
 	for _, m := range ms {
 		if m == 0 {
-			t.Fatal("AllMasks contains the empty mask")
+			t.Fatal("allMasks contains the empty mask")
 		}
 		if seen[m] {
-			t.Fatalf("AllMasks contains duplicate %v", m)
+			t.Fatalf("allMasks contains duplicate %v", m)
 		}
 		seen[m] = true
 		if m.Size() < prevSize {
-			t.Fatalf("AllMasks not ordered by size: %v after size %d", m, prevSize)
+			t.Fatalf("allMasks not ordered by size: %v after size %d", m, prevSize)
 		}
 		prevSize = m.Size()
 	}
@@ -187,7 +187,7 @@ func TestKeySubKeys(t *testing.T) {
 func TestKeyProject(t *testing.T) {
 	v := Vector{10, 20, 30, 1, 2, 3, 4}
 	k := KeyOf(v, MaskOf(ASN, CDN, Site))
-	p := k.Project(MaskOf(CDN, ConnType)) // ConnType not in k: dropped
+	p := k.project(MaskOf(CDN, ConnType)) // ConnType not in k: dropped
 	if p.Mask != MaskOf(CDN) {
 		t.Errorf("Project mask = %v, want %v", p.Mask, MaskOf(CDN))
 	}
@@ -198,13 +198,13 @@ func TestKeyProject(t *testing.T) {
 
 func TestParseDim(t *testing.T) {
 	for d := Dim(0); d < NumDims; d++ {
-		got, err := ParseDim(d.String())
+		got, err := parseDim(d.String())
 		if err != nil || got != d {
-			t.Errorf("ParseDim(%q) = %v, %v; want %v", d.String(), got, err, d)
+			t.Errorf("parseDim(%q) = %v, %v; want %v", d.String(), got, err, d)
 		}
 	}
-	if _, err := ParseDim("Bogus"); err == nil {
-		t.Error("ParseDim(Bogus) succeeded, want error")
+	if _, err := parseDim("Bogus"); err == nil {
+		t.Error("parseDim(Bogus) succeeded, want error")
 	}
 }
 
@@ -261,11 +261,11 @@ func TestSpaceLookup(t *testing.T) {
 	if got := s.Cardinality(ASN); got != 3 {
 		t.Errorf("Cardinality(ASN) = %d, want 3", got)
 	}
-	id, ok := s.Lookup(CDN, "cdn-b")
+	id, ok := s.lookup(CDN, "cdn-b")
 	if !ok || id != 1 {
 		t.Errorf("Lookup(CDN, cdn-b) = %d, %v; want 1, true", id, ok)
 	}
-	if _, ok := s.Lookup(CDN, "nope"); ok {
+	if _, ok := s.lookup(CDN, "nope"); ok {
 		t.Error("Lookup of unknown value succeeded")
 	}
 	if got := s.Name(ASN, 2); got != "AS300" {

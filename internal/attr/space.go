@@ -48,8 +48,8 @@ func (s *Space) Name(d Dim, id int32) string {
 	return fmt.Sprintf("%s#%d", d, id)
 }
 
-// Lookup resolves a value name in dimension d to its identifier.
-func (s *Space) Lookup(d Dim, name string) (int32, bool) {
+// lookup resolves a value name in dimension d to its identifier.
+func (s *Space) lookup(d Dim, name string) (int32, bool) {
 	id, ok := s.indexes[d][name]
 	return id, ok
 }
@@ -107,7 +107,7 @@ func (s *Space) ParseKey(text string) (Key, error) {
 		if eq < 0 {
 			return Root, fmt.Errorf("attr: bad key component %q (want Dim=value)", part)
 		}
-		d, err := ParseDim(strings.TrimSpace(part[:eq]))
+		d, err := parseDim(strings.TrimSpace(part[:eq]))
 		if err != nil {
 			return Root, err
 		}
@@ -115,7 +115,7 @@ func (s *Space) ParseKey(text string) (Key, error) {
 			return Root, fmt.Errorf("attr: dimension %s specified twice", d)
 		}
 		valText := strings.TrimSpace(part[eq+1:])
-		id, ok := s.Lookup(d, valText)
+		id, ok := s.lookup(d, valText)
 		if !ok {
 			n, err := strconv.ParseInt(valText, 10, 32)
 			if err != nil || n < 0 || int(n) >= s.Cardinality(d) {

@@ -60,7 +60,7 @@ func TestIncrementalHashMatchesKeyHash(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		v := randVector(rng)
 		var h Hasher
-		h.Reset(v)
+		h.reset(v)
 		var acc uint64
 		prev := attr.Mask(0)
 		for _, st := range planFor(attr.NumDims) {
@@ -153,19 +153,6 @@ func TestPoolReuseIsClean(t *testing.T) {
 	}
 	if _, ok := reused.Get(attr.KeyOf(attr.Vector{1, 2, 3, 4, 5, 6, 7}, attr.AllDims)); ok {
 		t.Fatal("stale key visible after Release")
-	}
-}
-
-func TestUpsertAgreesWithAddSession(t *testing.T) {
-	tbl := Acquire(0, attr.NumDims)
-	defer tbl.Release()
-	v := attr.Vector{1, 0, 2, 0, 1, 0, 3}
-	tbl.AddSession(v, 1, false)
-	k := attr.KeyOf(v, attr.MaskOf(attr.ASN, attr.Site))
-	tbl.Upsert(k).Add(2, false)
-	got, ok := tbl.Get(k)
-	if !ok || got.Total != 2 || got.Problems[0] != 1 || got.Problems[1] != 1 {
-		t.Fatalf("Upsert/AddSession disagree: %+v ok=%v", got, ok)
 	}
 }
 

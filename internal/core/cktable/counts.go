@@ -75,9 +75,9 @@ func (c *Counts) Sub(o Counts) {
 	}
 }
 
-// IsZero reports whether every tally is zero — the condition under which a
+// isZero reports whether every tally is zero — the condition under which a
 // windowed cell holds no live sessions and its slot can be reclaimed.
-func (c Counts) IsZero() bool { return c == Counts{} }
+func (c Counts) isZero() bool { return c == Counts{} }
 
 // Sessions returns the number of sessions for which metric m is defined.
 func (c Counts) Sessions(m metric.Metric) int32 {

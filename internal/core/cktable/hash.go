@@ -47,8 +47,8 @@ type Hasher struct {
 	dim [attr.NumDims]uint64
 }
 
-// Reset recomputes the per-dimension hashes for vector v.
-func (h *Hasher) Reset(v attr.Vector) {
+// reset recomputes the per-dimension hashes for vector v.
+func (h *Hasher) reset(v attr.Vector) {
 	for d := attr.Dim(0); d < attr.NumDims; d++ {
 		h.dim[d] = dimHash(d, v[d])
 	}

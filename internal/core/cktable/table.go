@@ -88,7 +88,7 @@ func (t *Table) AddSession(v attr.Vector, flags uint8, failed bool) {
 		t.grow()
 	}
 	var h Hasher
-	h.Reset(v)
+	h.reset(v)
 	var cur attr.Key
 	var acc uint64
 	for _, st := range t.plan {
@@ -106,16 +106,6 @@ func (t *Table) AddSession(v attr.Vector, flags uint8, failed bool) {
 		cur.Mask = st.mask
 		t.upsert(mix64(acc^maskSalt[st.mask]), cur).Add(flags, failed)
 	}
-}
-
-// Upsert returns the counts cell for key k, inserting a zero cell if
-// absent. Point callers (tests, differential harnesses) may use it with
-// KeyHash; AddSession is the fast path.
-func (t *Table) Upsert(k attr.Key) *Counts {
-	if t.used >= t.maxUsed {
-		t.grow()
-	}
-	return t.upsert(KeyHash(k), k)
 }
 
 func (t *Table) upsert(h uint64, k attr.Key) *Counts {
@@ -212,7 +202,7 @@ func (t *Table) unmerge(h uint64, k attr.Key, c Counts) {
 			if s.counts.Total < 0 {
 				panic("cktable: Unmerge drove a session count negative")
 			}
-			if s.counts.IsZero() {
+			if s.counts.isZero() {
 				t.deleteSlot(i)
 			}
 			return

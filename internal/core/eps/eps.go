@@ -35,19 +35,6 @@ func Eq(a, b float64) bool {
 // Zero reports whether a is zero within the absolute tolerance.
 func Zero(a float64) bool { return math.Abs(a) <= Abs }
 
-// Div returns a/b, or 0 when b is zero within tolerance. It is the
-// sanctioned fallback for metric ratios whose denominator can be starved
-// (an epoch with no sessions, a cluster with no traffic): a share of an
-// empty population is zero, not NaN. Use an explicit zero test instead
-// when the caller must distinguish "empty" from "ratio is zero" — the
-// ratioguard lint rule accepts either form.
-func Div(a, b float64) float64 {
-	if Zero(b) {
-		return 0
-	}
-	return a / b
-}
-
 // GT reports a > b beyond tolerance: boundary values (a ≈ b) are not
 // greater. This is the comparison behind "exceeds the threshold" rules —
 // a session at exactly the 5% buffering ratio is not a problem session.
@@ -60,6 +47,3 @@ func GTE(a, b float64) bool { return a > b || Eq(a, b) }
 
 // LT reports a < b beyond tolerance.
 func LT(a, b float64) bool { return a < b && !Eq(a, b) }
-
-// LTE reports a < b or a ≈ b.
-func LTE(a, b float64) bool { return a < b || Eq(a, b) }

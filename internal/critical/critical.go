@@ -92,11 +92,8 @@ type childAgg struct {
 	sig, prob int64
 }
 
-// Detect runs the phase-transition search and attribution passes over a
-// problem-cluster view using default options.
-func Detect(v *cluster.View) *Result { return DetectOpts(v, DefaultOptions()) }
-
-// DetectOpts is Detect with explicit options.
+// DetectOpts runs the phase-transition search and attribution passes over
+// a problem-cluster view.
 func DetectOpts(v *cluster.View, opts Options) *Result {
 	r := &Result{View: v, Critical: make(map[attr.Key]*Cluster)}
 	m := v.Metric
@@ -373,22 +370,4 @@ func (r *Result) Keys() []attr.Key {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// CriticalCoverage returns the fraction of all problem sessions covered by
-// critical clusters (Table 1, "Mean critical cluster coverage").
-func (r *Result) CriticalCoverage() float64 {
-	if r.View.GlobalProblems == 0 {
-		return 0
-	}
-	return float64(r.CoveredProblems) / float64(r.View.GlobalProblems)
-}
-
-// ProblemCoverage returns the fraction of all problem sessions inside some
-// problem cluster (Table 1, "Mean problem cluster coverage").
-func (r *Result) ProblemCoverage() float64 {
-	if r.View.GlobalProblems == 0 {
-		return 0
-	}
-	return float64(r.ProblemsInProblemClusters) / float64(r.View.GlobalProblems)
 }

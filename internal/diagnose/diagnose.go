@@ -52,6 +52,10 @@ type Report struct {
 	// GlobalRatio and Threshold give the epoch context.
 	GlobalRatio float64
 	Threshold   float64
+	// Problem reports whether the cluster is a problem cluster of the
+	// epoch. Drill runs no critical-cluster detection, so it says nothing
+	// about criticality.
+	Problem bool
 	// Dimensions hold the per-dimension decompositions, free dims only.
 	Dimensions []DimBreakdown
 	// Uniform reports whether every decomposition is near-uniform — the
@@ -79,6 +83,7 @@ func Drill(v *cluster.View, k attr.Key, space *attr.Space) (*Report, error) {
 		Ratio:       c.Ratio(m),
 		GlobalRatio: v.GlobalRatio,
 		Threshold:   v.Threshold,
+		Problem:     v.IsProblem(c),
 		Uniform:     true,
 	}
 	if space != nil {
@@ -195,15 +200,21 @@ func remedies(k attr.Key, m metric.Metric) []string {
 // Summary renders a one-paragraph reading of the report.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s is a %s critical cluster in epoch %d: %d of %d sessions are problems (ratio %.2f vs global %.2f). ",
-		r.Name, r.Metric, r.Epoch, r.Problems, r.Sessions, r.Ratio, r.GlobalRatio)
-	if r.Uniform {
-		b.WriteString("The elevation is uniform across every sub-population: the cause is anchored exactly at this combination. ")
-	} else {
-		worst := r.worstDim()
-		if worst != nil && len(worst.Children) > 0 {
-			fmt.Fprintf(&b, "The elevation concentrates along %s (worst: %s at ratio %.2f): refine the investigation there. ",
-				worst.Dim, worst.Children[0].Name, worst.Children[0].Ratio)
+	verdict := "is not"
+	if r.Problem {
+		verdict = "is"
+	}
+	fmt.Fprintf(&b, "%s %s a problem cluster for %s in epoch %d: %d of %d sessions are problems (ratio %.2f vs global %.2f). ",
+		r.Name, verdict, r.Metric, r.Epoch, r.Problems, r.Sessions, r.Ratio, r.GlobalRatio)
+	if r.Problem {
+		if r.Uniform {
+			b.WriteString("The elevation is uniform across every sub-population: the cause is anchored exactly at this combination. ")
+		} else {
+			worst := r.worstDim()
+			if worst != nil && len(worst.Children) > 0 {
+				fmt.Fprintf(&b, "The elevation concentrates along %s (worst: %s at ratio %.2f): refine the investigation there. ",
+					worst.Dim, worst.Children[0].Name, worst.Children[0].Ratio)
+			}
 		}
 	}
 	b.WriteString("Suggested remedies: ")

@@ -33,8 +33,8 @@ func buildView(t *testing.T) *cluster.View {
 	add(5, 1, 100, 50)
 	add(6, 1, 300, 12)
 	add(7, 1, 300, 12)
-	// Healthy bulk.
-	add(8, 2, 1000, 40)
+	// Healthy bulk, large enough that CDN 1 is itself a problem cluster.
+	add(8, 2, 4000, 40)
 
 	tbl := cluster.NewTable(3, sessions, 0)
 	th := metric.Default()
@@ -102,6 +102,26 @@ func TestDrillConcentratedCause(t *testing.T) {
 				t.Errorf("worst ASN child = %+v, want ASN 5 first", bd.Children)
 			}
 		}
+	}
+}
+
+// TestDrillHealthyCluster: a cluster below the problem threshold is
+// reported as not a problem cluster, with no elevation sentence.
+func TestDrillHealthyCluster(t *testing.T) {
+	v := buildView(t)
+	r, err := Drill(v, key(map[attr.Dim]int32{attr.CDN: 2}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Problem {
+		t.Errorf("healthy CDN 2 (ratio %.3f, threshold %.3f) reported as a problem cluster", r.Ratio, r.Threshold)
+	}
+	sum := r.Summary()
+	if !strings.Contains(sum, "is not a problem cluster") || strings.Contains(sum, "critical") || strings.Contains(sum, "elevation") {
+		t.Errorf("summary misreads a healthy cluster: %s", sum)
+	}
+	if u, err := Drill(v, key(map[attr.Dim]int32{attr.CDN: 0}), nil); err != nil || !u.Problem || !strings.Contains(u.Summary(), "is a problem cluster") {
+		t.Errorf("CDN 0 should read as a problem cluster: %v", err)
 	}
 }
 

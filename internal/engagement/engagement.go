@@ -9,11 +9,7 @@
 // viewing minutes.
 package engagement
 
-import (
-	"fmt"
-
-	"repro/internal/metric"
-)
+import "repro/internal/metric"
 
 // Model prices engagement loss per session.
 type Model struct {
@@ -42,23 +38,6 @@ func Default() Model {
 		JoinGraceSeconds:     2,
 		LowBitratePenalty:    0.25,
 	}
-}
-
-// Validate reports the first invalid field.
-func (m Model) Validate() error {
-	switch {
-	case m.BaselineMinutes <= 0:
-		return fmt.Errorf("engagement: BaselineMinutes %v must be positive", m.BaselineMinutes)
-	case m.LossPerBufPct < 0:
-		return fmt.Errorf("engagement: negative LossPerBufPct")
-	case m.AbandonPerJoinSecond < 0 || m.AbandonPerJoinSecond >= 1:
-		return fmt.Errorf("engagement: AbandonPerJoinSecond %v out of [0,1)", m.AbandonPerJoinSecond)
-	case m.JoinGraceSeconds < 0:
-		return fmt.Errorf("engagement: negative JoinGraceSeconds")
-	case m.LowBitratePenalty < 0 || m.LowBitratePenalty > 1:
-		return fmt.Errorf("engagement: LowBitratePenalty %v out of [0,1]", m.LowBitratePenalty)
-	}
-	return nil
 }
 
 // ExpectedMinutes returns the modelled viewing time of a session with the
@@ -98,9 +77,4 @@ func (m Model) ExpectedMinutes(q metric.QoE, th metric.Thresholds) float64 {
 		minutes = 0
 	}
 	return minutes
-}
-
-// LossMinutes returns the viewing time a session lost to quality problems.
-func (m Model) LossMinutes(q metric.QoE, th metric.Thresholds) float64 {
-	return m.BaselineMinutes - m.ExpectedMinutes(q, th)
 }

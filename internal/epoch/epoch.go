@@ -3,10 +3,7 @@
 // clustering, prevalence, and persistence computations are per-epoch.
 package epoch
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Index is a zero-based hour index into the trace.
 type Index int32
@@ -28,14 +25,6 @@ const Duration = time.Hour
 type Range struct {
 	Start Index
 	End   Index
-}
-
-// NewRange builds a validated range.
-func NewRange(start, end Index) (Range, error) {
-	if start < 0 || end < start {
-		return Range{}, fmt.Errorf("epoch: invalid range [%d, %d)", start, end)
-	}
-	return Range{Start: start, End: end}, nil
 }
 
 // Len returns the number of epochs in the range.
@@ -79,41 +68,6 @@ func (r Range) Epochs() []Index {
 	return out
 }
 
-// Clock maps epoch indexes to wall-clock times for display, anchored at a
-// trace start time.
-type Clock struct {
-	Start time.Time
-}
-
-// Time returns the wall-clock start of epoch e.
-func (c Clock) Time(e Index) time.Time {
-	return c.Start.Add(time.Duration(e) * Duration)
-}
-
-// Epoch returns the epoch containing wall-clock time t. Times before the
-// anchor map to negative indexes.
-func (c Clock) Epoch(t time.Time) Index {
-	d := t.Sub(c.Start)
-	e := d / Duration
-	if d < 0 && d%Duration != 0 {
-		e--
-	}
-	return Index(e)
-}
-
-// Label renders the epoch in the compact "3/11 5h" style used by the
-// paper's time axes.
-func (c Clock) Label(e Index) string {
-	t := c.Time(e)
-	return fmt.Sprintf("%d/%d %dh", int(t.Month()), t.Day(), t.Hour())
-}
-
-// DefaultClock anchors traces at the paper's first timestamp (March 11,
-// UTC); the year is immaterial to the analysis.
-func DefaultClock() Clock {
-	return Clock{Start: time.Date(2013, time.March, 11, 0, 0, 0, 0, time.UTC)}
-}
-
 // HourOfDay returns the hour-of-day (0–23) of epoch e, used by diurnal
 // workload models.
 func HourOfDay(e Index) int {
@@ -122,12 +76,4 @@ func HourOfDay(e Index) int {
 		h += HoursPerDay
 	}
 	return h
-}
-
-// DayOfTrace returns the zero-based day number of epoch e.
-func DayOfTrace(e Index) int {
-	if e < 0 {
-		return int((e - HoursPerDay + 1) / HoursPerDay)
-	}
-	return int(e) / HoursPerDay
 }

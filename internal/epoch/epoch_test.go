@@ -1,25 +1,6 @@
 package epoch
 
-import (
-	"testing"
-	"time"
-)
-
-func TestNewRange(t *testing.T) {
-	r, err := NewRange(0, 168)
-	if err != nil {
-		t.Fatalf("NewRange: %v", err)
-	}
-	if r.Len() != 168 {
-		t.Errorf("Len() = %d, want 168", r.Len())
-	}
-	if _, err := NewRange(-1, 5); err == nil {
-		t.Error("negative start accepted")
-	}
-	if _, err := NewRange(5, 4); err == nil {
-		t.Error("end before start accepted")
-	}
-}
+import "testing"
 
 func TestRangeContains(t *testing.T) {
 	r := Range{10, 20}
@@ -79,44 +60,11 @@ func TestRangeEpochs(t *testing.T) {
 	}
 }
 
-func TestClockRoundTrip(t *testing.T) {
-	c := DefaultClock()
-	for _, e := range []Index{0, 1, 167, 335} {
-		if got := c.Epoch(c.Time(e)); got != e {
-			t.Errorf("Epoch(Time(%d)) = %d", e, got)
-		}
-	}
-	// Mid-epoch times map to the containing epoch.
-	if got := c.Epoch(c.Time(5).Add(30 * time.Minute)); got != 5 {
-		t.Errorf("mid-epoch mapped to %d, want 5", got)
-	}
-	// Before the anchor maps negative.
-	if got := c.Epoch(c.Start.Add(-time.Minute)); got != -1 {
-		t.Errorf("pre-anchor epoch = %d, want -1", got)
-	}
-}
-
-func TestClockLabel(t *testing.T) {
-	c := DefaultClock()
-	if got := c.Label(0); got != "3/11 0h" {
-		t.Errorf("Label(0) = %q, want 3/11 0h", got)
-	}
-	if got := c.Label(25); got != "3/12 1h" {
-		t.Errorf("Label(25) = %q, want 3/12 1h", got)
-	}
-}
-
 func TestHourOfDayAndDay(t *testing.T) {
 	if HourOfDay(0) != 0 || HourOfDay(23) != 23 || HourOfDay(24) != 0 || HourOfDay(49) != 1 {
 		t.Error("HourOfDay arithmetic wrong")
 	}
 	if HourOfDay(-1) != 23 {
 		t.Errorf("HourOfDay(-1) = %d, want 23", HourOfDay(-1))
-	}
-	if DayOfTrace(0) != 0 || DayOfTrace(23) != 0 || DayOfTrace(24) != 1 || DayOfTrace(335) != 13 {
-		t.Error("DayOfTrace arithmetic wrong")
-	}
-	if DayOfTrace(-1) != -1 {
-		t.Errorf("DayOfTrace(-1) = %d, want -1", DayOfTrace(-1))
 	}
 }

@@ -64,21 +64,6 @@ func (ev *Event) ActiveAt(e epoch.Index) bool {
 	return false
 }
 
-// Matches reports whether the event applies to a session with attributes v
-// at epoch e.
-func (ev *Event) Matches(v attr.Vector, e epoch.Index) bool {
-	return ev.ActiveAt(e) && ev.Anchor.Matches(v)
-}
-
-// TotalHours returns the summed length of the active intervals.
-func (ev *Event) TotalHours() int {
-	n := 0
-	for _, r := range ev.Intervals {
-		n += r.Len()
-	}
-	return n
-}
-
 // Config controls event generation.
 type Config struct {
 	Seed uint64
@@ -144,8 +129,8 @@ func DefaultConfig(trace epoch.Range) Config {
 	}
 }
 
-// Validate reports the first invalid field.
-func (c Config) Validate() error {
+// validate reports the first invalid field.
+func (c Config) validate() error {
 	switch {
 	case c.Trace.Len() <= 0:
 		return fmt.Errorf("events: empty trace range %+v", c.Trace)
@@ -176,7 +161,7 @@ type Schedule struct {
 
 // Generate builds the ground-truth schedule for a world.
 func Generate(w *world.World, cfg Config) (*Schedule, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed).Split(0xE7E275)
@@ -578,9 +563,6 @@ func (s *Schedule) ActiveAt(e epoch.Index) []int32 {
 	}
 	return s.active[int(e-s.trace.Start)]
 }
-
-// Trace returns the epoch span the schedule covers.
-func (s *Schedule) Trace() epoch.Range { return s.trace }
 
 // Event returns the event with the given id, or nil.
 func (s *Schedule) Event(id int32) *Event {

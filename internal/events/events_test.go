@@ -55,8 +55,12 @@ func TestChronicEventsCoverTable3(t *testing.T) {
 		if !ev.Chronic {
 			t.Fatalf("episodic event generated with DisableEpisodic: %+v", ev)
 		}
-		if ev.TotalHours() != weekRange().Len() {
-			t.Errorf("chronic event %d active %d hours, want full trace", i, ev.TotalHours())
+		hours := 0
+		for _, r := range ev.Intervals {
+			hours += r.Len()
+		}
+		if hours != weekRange().Len() {
+			t.Errorf("chronic event %d active %d hours, want full trace", i, hours)
 		}
 		tags[ev.Tag]++
 	}
@@ -227,7 +231,7 @@ func TestMatchingSeverities(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig(weekRange())
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []func(*Config){
@@ -243,7 +247,7 @@ func TestConfigValidate(t *testing.T) {
 	for i, mutate := range bad {
 		c := DefaultConfig(weekRange())
 		mutate(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -256,8 +260,5 @@ func TestEventLookup(t *testing.T) {
 	}
 	if s.Event(-1) != nil || s.Event(int32(len(s.Events))) != nil {
 		t.Error("out-of-range Event should be nil")
-	}
-	if s.Trace() != weekRange() {
-		t.Error("Trace() mismatch")
 	}
 }

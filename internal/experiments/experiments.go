@@ -18,7 +18,6 @@ import (
 	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/events"
 	"repro/internal/metric"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -568,7 +567,3 @@ func (s *Suite) All(w io.Writer) error {
 	}
 	return nil
 }
-
-// DefaultEventSchedule re-exports the suite's ground truth for validation
-// experiments.
-func (s *Suite) DefaultEventSchedule() *events.Schedule { return s.Gen.Schedule() }

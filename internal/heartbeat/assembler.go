@@ -239,15 +239,8 @@ func (a *Assembler) finishLocked(p *pendingSession, durationS, bufferingS, weigh
 	a.emitLocked(p.s)
 }
 
-// Pending reports the number of in-flight sessions.
-func (a *Assembler) Pending() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pending)
-}
-
-// Stats snapshots the assembler counters.
-func (a *Assembler) Stats() AssemblerStats {
+// stats snapshots the assembler counters.
+func (a *Assembler) stats() AssemblerStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return AssemblerStats{

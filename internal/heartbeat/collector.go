@@ -31,7 +31,7 @@ type Stats struct {
 
 // Stats returns current counters.
 func (c *Collector) Stats() Stats {
-	as := c.asm.Stats()
+	as := c.asm.stats()
 	return Stats{
 		ConnStats:       c.Server.Stats(),
 		PendingSession:  as.Pending,

@@ -136,7 +136,7 @@ func collect(t *testing.T, sessions []session.Session, progressEvery int) []sess
 	client, server := net.Pipe()
 	done := make(chan struct{})
 	go func() {
-		c.ServeConn(server)
+		c.serveConn(server)
 		close(done)
 	}()
 	em := &Emitter{W: NewWriter(client), ProgressEvery: progressEvery}
@@ -400,7 +400,7 @@ func TestCollectorStats(t *testing.T) {
 	client, server := net.Pipe()
 	done := make(chan struct{})
 	go func() {
-		c.ServeConn(server)
+		c.serveConn(server)
 		close(done)
 	}()
 	w := NewWriter(client)

@@ -86,7 +86,7 @@ func TestAssemblerEmitsSessionFrames(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("replayed session frame emitted again (%d emits)", len(got))
 	}
-	if st := a.Stats(); st.ReplaysDropped != 1 || st.Emitted != 1 {
+	if st := a.stats(); st.ReplaysDropped != 1 || st.Emitted != 1 {
 		t.Fatalf("stats after replay: %+v", st)
 	}
 }

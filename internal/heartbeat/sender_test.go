@@ -228,7 +228,7 @@ func TestAssemblerDedupsCompletedReplays(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("emitted %d sessions, want 1 (replay deduplicated)", len(got))
 	}
-	st := asm.Stats()
+	st := asm.stats()
 	if st.Emitted != 1 || st.ReplaysDropped == 0 {
 		t.Fatalf("stats = %+v", st)
 	}

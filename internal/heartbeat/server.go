@@ -199,7 +199,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.ServeConn(conn)
+			s.serveConn(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -217,11 +217,11 @@ type writeDeadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
-// ServeConn decodes one stream until EOF, a read error, an idle timeout or
-// a Handler error wrapping ErrDropConn, and closes it. Exposed so tests and
-// in-process pipelines can drive the server over net.Pipe or any
-// io.ReadCloser; a stream that is also an io.Writer can carry acks.
-func (s *Server) ServeConn(conn io.ReadCloser) {
+// serveConn decodes one stream until EOF, a read error, an idle timeout or
+// a Handler error wrapping ErrDropConn, and closes it. Tests drive it over
+// net.Pipe or any io.ReadCloser; a stream that is also an io.Writer can
+// carry acks.
+func (s *Server) serveConn(conn io.ReadCloser) {
 	defer conn.Close()
 	defer func() {
 		if r := recover(); r != nil {

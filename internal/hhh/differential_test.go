@@ -16,7 +16,7 @@ import (
 // Any behavioural divergence — ordering, tie-breaking, discount semantics —
 // is a bug in the rewrite, not a new convention.
 func detectRef(sessions []cluster.Lite, m metric.Metric, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	maxDims := cfg.MaxDims

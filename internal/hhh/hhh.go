@@ -42,8 +42,8 @@ type Config struct {
 // DefaultConfig returns the baseline settings used by the ablation.
 func DefaultConfig() Config { return Config{Phi: 0.02} }
 
-// Validate reports the first invalid field.
-func (c Config) Validate() error {
+// validate reports the first invalid field.
+func (c Config) validate() error {
 	if c.Phi <= 0 || c.Phi >= 1 {
 		return fmt.Errorf("hhh: Phi %v out of (0,1)", c.Phi)
 	}
@@ -203,7 +203,7 @@ func normDims(maxDims int) int {
 // semantics). The output is bit-identical to the map-based reference
 // implementation kept in this package's differential test.
 func Detect(sessions []cluster.Lite, m metric.Metric, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	maxDims := normDims(cfg.MaxDims)
@@ -245,7 +245,7 @@ func Detect(sessions []cluster.Lite, m metric.Metric, cfg Config) (*Result, erro
 // DESIGN.md records the measurements behind that choice. Output is
 // bit-identical to Detect(tbl.Sessions, m, cfg).
 func DetectFromTable(tbl *cluster.Table, m metric.Metric, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	maxDims := normDims(cfg.MaxDims)
@@ -389,13 +389,4 @@ func sortHitters(res *Result) {
 		}
 		return res.Hitters[i].Key.Less(res.Hitters[j].Key)
 	})
-}
-
-// Keys returns the hitter keys in rank order.
-func (r *Result) Keys() []attr.Key {
-	out := make([]attr.Key, len(r.Hitters))
-	for i := range r.Hitters {
-		out[i] = r.Hitters[i].Key
-	}
-	return out
 }

@@ -165,10 +165,6 @@ func TestKeysOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := r.Keys()
-	if len(keys) != len(r.Hitters) {
-		t.Fatal("Keys length mismatch")
-	}
 	for i := 1; i < len(r.Hitters); i++ {
 		if r.Hitters[i].Discounted > r.Hitters[i-1].Discounted {
 			t.Error("hitters not sorted")

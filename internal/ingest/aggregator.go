@@ -180,11 +180,11 @@ func (a *Aggregator) Stats() AggStats {
 	}
 }
 
-// RegisterNode records a node announcement. A higher incarnation than the
+// registerNode records a node announcement. A higher incarnation than the
 // last seen means the node restarted: every open epoch is marked restarted,
 // because in-flight state (kernel buffers, pending assembler sessions) died
 // with the old process and those epochs can no longer claim full coverage.
-func (a *Aggregator) RegisterNode(nodeID, incarnation uint64) {
+func (a *Aggregator) registerNode(nodeID, incarnation uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ns := a.nodes[nodeID]
@@ -202,8 +202,8 @@ func (a *Aggregator) RegisterNode(nodeID, incarnation uint64) {
 	}
 }
 
-// UpdateStatus records a node's cumulative loss counters (KindStatus).
-func (a *Aggregator) UpdateStatus(nodeID uint64, st [4]uint64) {
+// updateStatus records a node's cumulative loss counters (KindStatus).
+func (a *Aggregator) updateStatus(nodeID uint64, st [4]uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ns := a.nodes[nodeID]
@@ -480,13 +480,13 @@ func (a *Aggregator) newConn() heartbeat.Handler {
 			if !hello {
 				nodeID, hello = m.SessionID&^heartbeat.ControlSessionBit, true
 			}
-			a.RegisterNode(nodeID, uint64(uint32(m.Attrs[0])))
+			a.registerNode(nodeID, uint64(uint32(m.Attrs[0])))
 		case !hello:
 			return fmt.Errorf("first frame %v, want control hello: %w", m.Kind, heartbeat.ErrDropConn)
 		case m.Kind == heartbeat.KindSession:
 			a.Ingest(nodeID, &m.Sess)
 		case m.Kind == heartbeat.KindStatus:
-			a.UpdateStatus(nodeID, m.Status)
+			a.updateStatus(nodeID, m.Status)
 		case m.Kind != heartbeat.KindHello:
 			return fmt.Errorf("unexpected %v frame", m.Kind)
 		}
@@ -497,10 +497,7 @@ func (a *Aggregator) newConn() heartbeat.Handler {
 // Listen starts accepting relay connections on addr.
 func (a *Aggregator) Listen(addr string) error { return a.srv.Listen(addr) }
 
-// Serve accepts relay connections from an existing listener.
-func (a *Aggregator) Serve(ln net.Listener) error { return a.srv.Serve(ln) }
-
-// Addr returns the bound listen address (nil before Serve).
+// Addr returns the bound listen address (nil before Listen).
 func (a *Aggregator) Addr() net.Addr { return a.srv.Addr() }
 
 // CloseGrace shuts the accept plane down, giving live relay connections up

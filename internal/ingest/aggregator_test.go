@@ -229,8 +229,8 @@ func TestAggregatorDegradationFreezesDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg.RegisterNode(1, 0)
-	agg.RegisterNode(2, 0)
+	agg.registerNode(1, 0)
+	agg.registerNode(2, 0)
 
 	// Epoch 0: both nodes report — healthy.
 	for id := uint64(1); id <= 20; id++ {
@@ -265,7 +265,7 @@ func TestAggregatorDegradationFreezesDetector(t *testing.T) {
 		node := uint64(1 + id%2)
 		agg.Ingest(node, &s)
 	}
-	agg.RegisterNode(2, 1) // incarnation bump: the old process died
+	agg.registerNode(2, 1) // incarnation bump: the old process died
 	cov, res, err = agg.Seal(2)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestAggregatorDegradationFreezesDetector(t *testing.T) {
 		node := uint64(1 + id%2)
 		agg.Ingest(node, &s)
 	}
-	agg.UpdateStatus(1, [4]uint64{StatusRelayShed: 5})
+	agg.updateStatus(1, [4]uint64{StatusRelayShed: 5})
 	cov, res, err = agg.Seal(3)
 	if err != nil {
 		t.Fatal(err)

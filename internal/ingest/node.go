@@ -70,7 +70,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cfg.ListenAddr = "127.0.0.1:0"
 	}
 	n := &Node{cfg: cfg}
-	relay, err := NewRelay(cfg.Aggregator, RelayConfig{
+	relay, err := newRelay(cfg.Aggregator, RelayConfig{
 		Dir:         cfg.SpoolDir,
 		NodeID:      cfg.ID,
 		Incarnation: cfg.Incarnation,
@@ -83,7 +83,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := heartbeat.NewSpool(cfg.SpoolCapacity, func(s session.Session) { relay.Offer(s) })
+	sp := heartbeat.NewSpool(cfg.SpoolCapacity, func(s session.Session) { relay.offer(s) })
 	col := heartbeat.NewCollector(func(s session.Session) { sp.Emit(s) })
 	col.Logf = cfg.Logf
 	n.mu.Lock()
@@ -95,13 +95,13 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		ln, err = net.Listen("tcp", cfg.ListenAddr)
 		if err != nil {
 			sp.Close()
-			relay.Kill()
+			relay.kill()
 			return nil, fmt.Errorf("ingest: node listen: %w", err)
 		}
 	}
 	if err := col.Serve(ln); err != nil {
 		sp.Close()
-		relay.Kill()
+		relay.kill()
 		return nil, err
 	}
 	return n, nil
@@ -133,9 +133,6 @@ func (n *Node) status() [4]uint64 {
 // Addr returns the player-facing listen address.
 func (n *Node) Addr() net.Addr { return n.col.Addr() }
 
-// Collector exposes the accept plane (tests flush its assembler).
-func (n *Node) Collector() *heartbeat.Collector { return n.col }
-
 // Relay exposes the aggregator link.
 func (n *Node) Relay() *Relay { return n.relay }
 
@@ -145,23 +142,8 @@ func (n *Node) Stats() NodeStats {
 		Collector: n.col.Stats(),
 		Spool:     n.sp.Stats(),
 		Relay:     n.relay.Stats(),
-		Sender:    n.relay.SenderStats(),
+		Sender:    n.relay.senderStats(),
 	}
-}
-
-// Kill models the node process dying mid-epoch. The kill boundary: player
-// connections drop instantly (un-acked frames in flight are lost — their
-// senders re-deliver to the ring's next owner), sessions pending in the
-// assembler die with the process, and the relay stops without draining.
-// Sessions already emitted into the in-memory spool are drained to the
-// on-disk segment first: they stand in for writes riding the page cache,
-// which survive a process kill (though not a machine crash — the fsync at
-// segment seal covers that boundary). The next incarnation recovers the
-// segments and re-sends.
-func (n *Node) Kill() {
-	n.col.Abort()
-	n.sp.Close()
-	n.relay.Kill()
 }
 
 // Close shuts the node down gracefully: the collector drains (its
@@ -171,7 +153,7 @@ func (n *Node) Kill() {
 func (n *Node) Close(grace time.Duration) error {
 	err := n.col.CloseGrace(grace)
 	n.sp.Close()
-	if rerr := n.relay.Close(); err == nil {
+	if rerr := n.relay.close(); err == nil {
 		err = rerr
 	}
 	return err

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -79,7 +80,11 @@ func spawnPlayers(ring *Ring, e epoch.Index, ids []uint64, seed uint64, faults *
 			fcfg := fcfgBase
 			fcfg.Seed = seed + id
 			var nextConn uint64
-			dial := ring.Dialer(id, func(member string) (net.Conn, error) {
+			dial := func() (net.Conn, error) {
+				member, ok := ring.Owner(id)
+				if !ok {
+					return nil, fmt.Errorf("ring empty, session %d unroutable", id)
+				}
 				raw, err := net.Dial("tcp", member)
 				if err != nil {
 					return nil, err
@@ -91,7 +96,7 @@ func spawnPlayers(ring *Ring, e epoch.Index, ids []uint64, seed uint64, faults *
 				fc := faultnet.WrapConn(raw, fcfg, nextConn)
 				faults.add(fc)
 				return fc, nil
-			})
+			}
 			snd := heartbeat.NewSender(dial, heartbeat.SenderConfig{
 				BaseBackoff: 500 * time.Microsecond,
 				MaxBackoff:  10 * time.Millisecond,

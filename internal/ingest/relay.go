@@ -71,7 +71,7 @@ type RelayConfig struct {
 
 // RelayStats snapshots the relay's accounting.
 type RelayStats struct {
-	// Offered counts sessions handed to Offer.
+	// Offered counts sessions handed to offer.
 	Offered int64
 	// Sent counts sessions delivered to (and acknowledged by) the
 	// aggregator.
@@ -127,11 +127,11 @@ type Relay struct {
 	sealedSegs, droppedSegs                   atomic.Int64
 }
 
-// NewRelay opens (or reopens) a spool directory, recovers any leftover
+// newRelay opens (or reopens) a spool directory, recovers any leftover
 // segments from a previous incarnation, and starts the send loop against
 // dial. The relay announces its identity (a control Hello carrying NodeID
 // and Incarnation) before any session, on every connection.
-func NewRelay(dial func() (net.Conn, error), cfg RelayConfig) (*Relay, error) {
+func newRelay(dial func() (net.Conn, error), cfg RelayConfig) (*Relay, error) {
 	if cfg.NodeID&heartbeat.ControlSessionBit != 0 {
 		return nil, fmt.Errorf("ingest: node ID %#x collides with the control bit", cfg.NodeID)
 	}
@@ -227,11 +227,11 @@ func (r *Relay) logf(format string, args ...any) {
 	}
 }
 
-// Offer appends one assembled session to the active spool segment. It never
+// offer appends one assembled session to the active spool segment. It never
 // blocks on the network: disk write and flush, rotation when due, and the
 // send loop ships sealed segments asynchronously. Failures shed the session
 // with accounting, never wedge the caller.
-func (r *Relay) Offer(s session.Session) {
+func (r *Relay) offer(s session.Session) {
 	r.offered.Add(1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -368,7 +368,7 @@ func (r *Relay) announce() bool {
 		Kind:      heartbeat.KindHello,
 		SessionID: heartbeat.ControlSessionBit | r.cfg.NodeID,
 	}
-	m.Attrs[0] = int32(r.cfg.Incarnation) // NewRelay bounds it to 32 bits; read back as uint32
+	m.Attrs[0] = int32(r.cfg.Incarnation) // newRelay bounds it to 32 bits; read back as uint32
 	for {
 		err := r.snd.Send(&m)
 		if err == nil {
@@ -458,9 +458,9 @@ func (r *Relay) sendStatus() {
 	}
 }
 
-// Close drains gracefully: the active segment seals, every queued segment
+// close drains gracefully: the active segment seals, every queued segment
 // ships, a final status goes out, and the sender closes.
-func (r *Relay) Close() error {
+func (r *Relay) close() error {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -474,10 +474,10 @@ func (r *Relay) Close() error {
 	return r.snd.Close()
 }
 
-// Kill models the node process dying: the sender is torn down immediately
+// kill models the node process dying: the sender is torn down immediately
 // (an in-flight send aborts), nothing drains, and sealed and active
 // segments alike stay on disk for the next incarnation to recover.
-func (r *Relay) Kill() {
+func (r *Relay) kill() {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -497,8 +497,8 @@ func (r *Relay) Kill() {
 	r.wg.Wait()
 }
 
-// SenderStats exposes the underlying sender's delivery counters.
-func (r *Relay) SenderStats() heartbeat.SenderStats { return r.snd.Stats() }
+// senderStats exposes the underlying sender's delivery counters.
+func (r *Relay) senderStats() heartbeat.SenderStats { return r.snd.Stats() }
 
 // Stats snapshots the relay counters.
 func (r *Relay) Stats() RelayStats {

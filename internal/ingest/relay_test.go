@@ -33,7 +33,7 @@ func TestRelayShipsSealedSegments(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)()
 	agg, dial := startTestAggregator(t, 1)
 
-	r, err := NewRelay(dial, RelayConfig{
+	r, err := newRelay(dial, RelayConfig{
 		Dir:         t.TempDir(),
 		NodeID:      7,
 		RotateEvery: 4,
@@ -45,11 +45,11 @@ func TestRelayShipsSealedSegments(t *testing.T) {
 	}
 	const n = 10
 	for id := uint64(1); id <= n; id++ {
-		r.Offer(mkSession(id, 0))
+		r.offer(mkSession(id, 0))
 	}
 	// 10 sessions at RotateEvery 4: two sealed segments ship immediately,
 	// two sessions sit in the active segment until Close seals it.
-	if err := r.Close(); err != nil {
+	if err := r.close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "all sessions at aggregator", func() bool {
@@ -82,7 +82,7 @@ func TestRelayRecoversSegmentsAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	down := func() (net.Conn, error) { return nil, errors.New("aggregator down") }
 
-	r1, err := NewRelay(down, RelayConfig{
+	r1, err := newRelay(down, RelayConfig{
 		Dir:         dir,
 		NodeID:      7,
 		RotateEvery: 4,
@@ -93,15 +93,15 @@ func TestRelayRecoversSegmentsAfterKill(t *testing.T) {
 	}
 	const n = 10
 	for id := uint64(1); id <= n; id++ {
-		r1.Offer(mkSession(id, 0))
+		r1.offer(mkSession(id, 0))
 	}
-	r1.Kill() // two sealed segments + a 2-session active segment stay on disk
+	r1.kill() // two sealed segments + a 2-session active segment stay on disk
 	if got := r1.Stats().Sent; got != 0 {
 		t.Fatalf("sent %d sessions with the aggregator down", got)
 	}
 
 	agg, dial := startTestAggregator(t, 1)
-	r2, err := NewRelay(dial, RelayConfig{
+	r2, err := newRelay(dial, RelayConfig{
 		Dir:         dir,
 		NodeID:      7,
 		Incarnation: 1,
@@ -117,7 +117,7 @@ func TestRelayRecoversSegmentsAfterKill(t *testing.T) {
 	waitFor(t, 10*time.Second, "recovered sessions at aggregator", func() bool {
 		return agg.EpochSessions(0) == n
 	})
-	if err := r2.Close(); err != nil {
+	if err := r2.close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := agg.CloseGrace(2 * time.Second); err != nil {
@@ -143,7 +143,7 @@ func TestRelayRecoversSegmentsAfterKill(t *testing.T) {
 func TestRelayOverflowShedsOldest(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)()
 	down := func() (net.Conn, error) { return nil, errors.New("aggregator down") }
-	r, err := NewRelay(down, RelayConfig{
+	r, err := newRelay(down, RelayConfig{
 		Dir:         t.TempDir(),
 		NodeID:      7,
 		RotateEvery: 2,
@@ -154,7 +154,7 @@ func TestRelayOverflowShedsOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 8; id++ {
-		r.Offer(mkSession(id, 0))
+		r.offer(mkSession(id, 0))
 	}
 	rs := r.Stats()
 	if rs.SegmentsSealed != 4 || rs.SegmentsDropped != 2 || rs.Shed != 4 {
@@ -163,7 +163,7 @@ func TestRelayOverflowShedsOldest(t *testing.T) {
 	if rs.QueueSegments != 2 {
 		t.Fatalf("queue holds %d segments, want 2", rs.QueueSegments)
 	}
-	r.Kill()
+	r.kill()
 	if rs := r.Stats(); rs.Offered != 8 {
 		t.Fatalf("offered %d, want 8", rs.Offered)
 	}
@@ -174,7 +174,7 @@ func TestRelayOverflowShedsOldest(t *testing.T) {
 func TestRelayStatusReachesAggregator(t *testing.T) {
 	defer testutil.CheckGoroutineLeaks(t)()
 	agg, dial := startTestAggregator(t, 1)
-	r, err := NewRelay(dial, RelayConfig{
+	r, err := newRelay(dial, RelayConfig{
 		Dir:         t.TempDir(),
 		NodeID:      3,
 		RotateEvery: 4,
@@ -187,9 +187,9 @@ func TestRelayStatusReachesAggregator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 4; id++ {
-		r.Offer(mkSession(id, 0))
+		r.offer(mkSession(id, 0))
 	}
-	if err := r.Close(); err != nil {
+	if err := r.close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "sessions at aggregator", func() bool {
@@ -219,10 +219,10 @@ func TestNewRelayRejectsOutOfRangeIdentity(t *testing.T) {
 		{NodeID: 1, Incarnation: 1 << 32},
 	} {
 		cfg.Dir = t.TempDir()
-		r, err := NewRelay(func() (net.Conn, error) { return nil, errors.New("no aggregator") }, cfg)
+		r, err := newRelay(func() (net.Conn, error) { return nil, errors.New("no aggregator") }, cfg)
 		if err == nil {
-			r.Kill()
-			t.Errorf("NewRelay accepted node %#x incarnation %d", cfg.NodeID, cfg.Incarnation)
+			r.kill()
+			t.Errorf("newRelay accepted node %#x incarnation %d", cfg.NodeID, cfg.Incarnation)
 		}
 	}
 }

@@ -10,8 +10,6 @@
 package ingest
 
 import (
-	"fmt"
-	"net"
 	"sort"
 	"sync"
 )
@@ -52,15 +50,14 @@ type ringPoint struct {
 
 // Ring is a consistent-hash ring of collector members (addresses). Every
 // session ID maps to exactly one live member — the assembler that owns its
-// heartbeats — and membership changes move only the sessions whose arcs
-// changed hands. Safe for concurrent use: players resolve owners while an
-// operator adds or removes nodes.
+// heartbeats — and adding a member moves only the sessions whose arcs it
+// takes over. Safe for concurrent use: players resolve owners while members
+// are added.
 type Ring struct {
 	mu       sync.RWMutex
 	replicas int
 	members  map[string]bool
 	points   []ringPoint
-	version  uint64
 }
 
 // NewRing builds an empty ring; replicas <= 0 uses the default.
@@ -82,22 +79,10 @@ func (r *Ring) Add(member string) {
 	r.rebuildLocked()
 }
 
-// Remove deletes a member (idempotent). Sessions it owned re-resolve to the
-// surviving arcs on their next (re)connect.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	r.rebuildLocked()
-}
-
 // rebuildLocked regenerates the sorted point set. Points derive only from
-// member names, so a member removed and re-added lands on identical arcs.
+// member names, so a member lands on the same arcs whatever the order of
+// the Add calls.
 func (r *Ring) rebuildLocked() {
-	r.version++
 	r.points = r.points[:0]
 	for m := range r.members {
 		base := fnv64(m)
@@ -111,25 +96,6 @@ func (r *Ring) rebuildLocked() {
 		}
 		return r.points[i].member < r.points[j].member
 	})
-}
-
-// Members returns the live members, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Version counts membership changes; owners are stable between versions.
-func (r *Ring) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
 }
 
 // Owner resolves the member owning a session ID; ok is false on an empty
@@ -146,20 +112,4 @@ func (r *Ring) Owner(sessionID uint64) (member string, ok bool) {
 		i = 0 // wrap: the arc past the last point belongs to the first
 	}
 	return r.points[i].member, true
-}
-
-// Dialer returns a dial function for one session that re-resolves the
-// session's owner at every (re)connect attempt. This is the handoff
-// protocol: when the ring changes, the session's Sender loses its
-// connection (the old owner died) or simply redials, the dialer lands on
-// the new owner, and the Sender's re-Hello replay re-establishes the
-// session there — no coordination channel beyond the ring itself.
-func (r *Ring) Dialer(sessionID uint64, dial func(member string) (net.Conn, error)) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		m, ok := r.Owner(sessionID)
-		if !ok {
-			return nil, fmt.Errorf("ingest: ring empty, session %d unroutable", sessionID)
-		}
-		return dial(m)
-	}
 }

@@ -1,10 +1,6 @@
 package ingest
 
-import (
-	"fmt"
-	"net"
-	"testing"
-)
+import "testing"
 
 func TestRingDistributionRoughlyUniform(t *testing.T) {
 	r := NewRing(0)
@@ -31,82 +27,42 @@ func TestRingDistributionRoughlyUniform(t *testing.T) {
 
 func TestRingMembershipChangeMovesOnlyAffectedArcs(t *testing.T) {
 	r := NewRing(0)
+	if _, ok := r.Owner(42); ok {
+		t.Fatal("empty ring resolved an owner")
+	}
 	r.Add("a")
 	r.Add("b")
-	r.Add("c")
 	const n = 10000
 	before := make(map[uint64]string, n)
 	for id := uint64(1); id <= n; id++ {
 		before[id], _ = r.Owner(id)
 	}
 
-	// Removing c must not move any session between a and b.
-	r.Remove("c")
+	// Adding c must not move any session between a and b.
+	r.Add("c")
+	r.Add("c") // idempotent
+	after := make(map[uint64]string, n)
 	moved := 0
 	for id := uint64(1); id <= n; id++ {
-		after, _ := r.Owner(id)
-		if before[id] != "c" {
-			if after != before[id] {
-				t.Fatalf("session %d moved %s→%s though only c left", id, before[id], after)
-			}
-			continue
+		after[id], _ = r.Owner(id)
+		if after[id] == "c" {
+			moved++
+		} else if after[id] != before[id] {
+			t.Fatalf("session %d moved %s→%s though only c joined", id, before[id], after[id])
 		}
-		if after == "c" {
-			t.Fatalf("session %d still owned by removed member", id)
-		}
-		moved++
 	}
 	if moved == 0 {
 		t.Fatal("c owned nothing; distribution test should have caught this")
 	}
 
-	// Re-adding c restores its arcs exactly: points derive from names only.
-	r.Add("c")
+	// Points derive from names only: any insertion order gives the same arcs.
+	r2 := NewRing(0)
+	for _, m := range []string{"c", "b", "a"} {
+		r2.Add(m)
+	}
 	for id := uint64(1); id <= n; id++ {
-		if after, _ := r.Owner(id); after != before[id] {
-			t.Fatalf("session %d owner %s != original %s after c rejoined", id, after, before[id])
+		if got, _ := r2.Owner(id); got != after[id] {
+			t.Fatalf("session %d owner %s != %s with members added in another order", id, got, after[id])
 		}
-	}
-}
-
-func TestRingVersionAndEmpty(t *testing.T) {
-	r := NewRing(4)
-	if _, ok := r.Owner(42); ok {
-		t.Fatal("empty ring resolved an owner")
-	}
-	v0 := r.Version()
-	r.Add("x")
-	r.Add("x") // idempotent: no rebuild
-	if got := r.Version(); got != v0+1 {
-		t.Fatalf("version %d after one effective change, want %d", got, v0+1)
-	}
-	r.Remove("y") // not a member: no rebuild
-	if got := r.Version(); got != v0+1 {
-		t.Fatalf("version %d after no-op remove, want %d", got, v0+1)
-	}
-	if got := r.Members(); len(got) != 1 || got[0] != "x" {
-		t.Fatalf("members %v, want [x]", got)
-	}
-}
-
-func TestRingDialerReResolvesOwner(t *testing.T) {
-	r := NewRing(0)
-	r.Add("old")
-	var dialed []string
-	dial := func(member string) (net.Conn, error) {
-		dialed = append(dialed, member)
-		return nil, fmt.Errorf("test: no transport")
-	}
-	d := r.Dialer(7, dial)
-	_, _ = d()
-	r.Remove("old")
-	r.Add("new")
-	_, _ = d()
-	if len(dialed) != 2 || dialed[0] != "old" || dialed[1] != "new" {
-		t.Fatalf("dialer resolved %v, want [old new]", dialed)
-	}
-	r.Remove("new")
-	if _, err := d(); err == nil {
-		t.Fatal("dial on empty ring must fail, not hang")
 	}
 }

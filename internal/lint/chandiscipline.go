@@ -154,7 +154,7 @@ func chanDisciplineFunc(p *Pass, fn funcScope) {
 				}
 			}
 		case *ast.RangeStmt:
-			if isChanType(p.TypeOf(n.X)) {
+			if isChanType(p.typeOf(n.X)) {
 				ctx.rangeX[n.X] = true
 			}
 		}
@@ -178,7 +178,7 @@ func chanDisciplineFunc(p *Pass, fn funcScope) {
 		if !ok {
 			continue
 		}
-		ctx.transfer(b, g, cdClone(in), p.Reportf)
+		ctx.transfer(b, g, cdClone(in), p.reportf)
 	}
 }
 

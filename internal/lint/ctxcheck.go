@@ -44,7 +44,7 @@ func runCtxCheck(p *Pass) {
 					return true
 				}
 				if !cancellable(p, lit.Body) && !waitGroupTracked(p, lit.Body) {
-					p.Reportf(gs.Pos(), "goroutine spawned in a loop has no shutdown path (no channel receive/select/context.Done and not WaitGroup-tracked)")
+					p.reportf(gs.Pos(), "goroutine spawned in a loop has no shutdown path (no channel receive/select/context.Done and not WaitGroup-tracked)")
 				}
 				return true
 			})
@@ -70,11 +70,11 @@ func cancellable(p *Pass, body *ast.BlockStmt) bool {
 		case *ast.SelectStmt:
 			found = true
 		case *ast.RangeStmt:
-			if _, ok := typeUnder(p.TypeOf(e.X)).(*types.Chan); ok {
+			if _, ok := typeUnder(p.typeOf(e.X)).(*types.Chan); ok {
 				found = true
 			}
 		case ast.Expr:
-			if isContextType(p.TypeOf(e)) {
+			if isContextType(p.typeOf(e)) {
 				found = true
 			}
 		}
@@ -100,7 +100,7 @@ func waitGroupTracked(p *Pass, body *ast.BlockStmt) bool {
 		if !ok || sel.Sel.Name != "Done" {
 			return true
 		}
-		t := p.TypeOf(sel.X)
+		t := p.typeOf(sel.X)
 		if t == nil {
 			return true
 		}

@@ -151,7 +151,7 @@ func detOrderFunc(p *Pass, fn funcScope) {
 		for _, id := range ids {
 			if !ctx.reported[id] {
 				ctx.reported[id] = true
-				p.Reportf(ctx.info[id].pos, "%s accumulates map keys in map order and is never sorted afterwards", ctx.info[id].target)
+				p.reportf(ctx.info[id].pos, "%s accumulates map keys in map order and is never sorted afterwards", ctx.info[id].target)
 			}
 		}
 	}
@@ -168,7 +168,7 @@ func detOrderScanRanges(ctx *doCtx, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		if _, isMap := typeUnder(ctx.p.TypeOf(rng.X)).(*types.Map); !isMap {
+		if _, isMap := typeUnder(ctx.p.typeOf(rng.X)).(*types.Map); !isMap {
 			return true
 		}
 		detOrderScanBody(ctx, rng, seen)
@@ -181,7 +181,7 @@ func detOrderScanBody(ctx *doCtx, rng *ast.RangeStmt, seen map[token.Pos]bool) {
 	report := func(pos token.Pos, format string, args ...any) {
 		if !seen[pos] {
 			seen[pos] = true
-			p.Reportf(pos, format, args...)
+			p.reportf(pos, format, args...)
 		}
 	}
 	inspectShallow(rng.Body, func(n ast.Node) bool {
@@ -232,7 +232,7 @@ func detOrderRangeAssign(ctx *doCtx, rng *ast.RangeStmt, stmt *ast.AssignStmt, r
 		}
 	case token.ADD_ASSIGN, token.SUB_ASSIGN:
 		// Floating-point accumulation order changes the low bits of the sum.
-		if len(stmt.Lhs) == 1 && isFloat(p.TypeOf(stmt.Lhs[0])) && !declaredInside(p, stmt.Lhs[0], rng) {
+		if len(stmt.Lhs) == 1 && isFloat(p.typeOf(stmt.Lhs[0])) && !declaredInside(p, stmt.Lhs[0], rng) {
 			report(stmt.Pos(), "floating-point accumulation in map order; iterate sorted keys for reproducible sums")
 		}
 	}
@@ -521,7 +521,7 @@ func (ctx *doCtx) sinkArgs(call *ast.CallExpr, s doState, report bool, how strin
 		}
 		if report && !ctx.reported[id] {
 			ctx.reported[id] = true
-			ctx.p.Reportf(arg.Pos(), "%s accumulates map keys in map order and is %s without an intervening sort", ctx.info[id].target, how)
+			ctx.p.reportf(arg.Pos(), "%s accumulates map keys in map order and is %s without an intervening sort", ctx.info[id].target, how)
 		}
 		doKill(s, ar)
 	}

@@ -50,7 +50,7 @@ func runErrDrop(p *Pass) {
 			if !returnsError(p, call) || errExempt(p, call) {
 				return true
 			}
-			p.Reportf(call.Pos(), "result of %s contains a discarded error; handle it or assign to _ explicitly", types.ExprString(call.Fun))
+			p.reportf(call.Pos(), "result of %s contains a discarded error; handle it or assign to _ explicitly", types.ExprString(call.Fun))
 			return true
 		})
 	}
@@ -80,7 +80,7 @@ func isFileSync(p *Pass, call *ast.CallExpr) bool {
 
 // returnsError reports whether the call's result is, or ends with, an error.
 func returnsError(p *Pass, call *ast.CallExpr) bool {
-	t := p.TypeOf(call)
+	t := p.typeOf(call)
 	if t == nil {
 		return false
 	}
@@ -145,7 +145,7 @@ func isErrFreeWriter(p *Pass, e ast.Expr) bool {
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = u.X
 	}
-	t := p.TypeOf(e)
+	t := p.typeOf(e)
 	if t == nil {
 		return false
 	}

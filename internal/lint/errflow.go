@@ -271,7 +271,7 @@ func efReportDeadStores(p *Pass, n *ast.AssignStmt, s efState, rel map[*types.Va
 		if sum := p.Sums.ForCall(call); sum != nil && sum.Error == summary.ErrAlwaysNil {
 			continue
 		}
-		p.Reportf(id.Pos(), "the error assigned to %s is overwritten or dropped before any path reads it", v.Name())
+		p.reportf(id.Pos(), "the error assigned to %s is overwritten or dropped before any path reads it", v.Name())
 	}
 }
 

@@ -29,7 +29,7 @@ func runFloatCmp(p *Pass) {
 			if !ok || (cmp.Op != token.EQL && cmp.Op != token.NEQ) {
 				return true
 			}
-			if !isFloat(p.TypeOf(cmp.X)) && !isFloat(p.TypeOf(cmp.Y)) {
+			if !isFloat(p.typeOf(cmp.X)) && !isFloat(p.typeOf(cmp.Y)) {
 				return true
 			}
 			if isConstExpr(p, cmp.X) && isConstExpr(p, cmp.Y) {
@@ -40,7 +40,7 @@ func runFloatCmp(p *Pass) {
 					return true
 				}
 			}
-			p.Reportf(cmp.OpPos, "float comparison with %s; use eps.Eq or an explicit tolerance", cmp.Op)
+			p.reportf(cmp.OpPos, "float comparison with %s; use eps.Eq or an explicit tolerance", cmp.Op)
 			return true
 		})
 	}

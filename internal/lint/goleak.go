@@ -36,12 +36,12 @@ func runGoLeak(p *Pass) {
 			}
 			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 				if _, noComm := p.Sums.BodyStuck(lit.Body); noComm {
-					p.Reportf(g.Pos(), "goroutine can run forever with no channel operation to stop it; add a quit channel or context")
+					p.reportf(g.Pos(), "goroutine can run forever with no channel operation to stop it; add a quit channel or context")
 				}
 				return true
 			}
 			if sum := p.Sums.ForCall(g.Call); sum != nil && sum.StuckNoComm {
-				p.Reportf(g.Pos(), "goroutine %s can run forever with no channel operation to stop it; add a quit channel or context", types.ExprString(g.Call.Fun))
+				p.reportf(g.Pos(), "goroutine %s can run forever with no channel operation to stop it; add a quit channel or context", types.ExprString(g.Call.Fun))
 			}
 			return true
 		})

@@ -80,8 +80,8 @@ type Pass struct {
 	suppressed func(rule string, line int, file string) bool
 }
 
-// Reportf records a finding at pos unless a suppression comment covers it.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos unless a suppression comment covers it.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.suppressed != nil && p.suppressed(p.rule, position.Line, position.Filename) {
 		return
@@ -89,8 +89,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Rule: p.rule, Pos: position, Msg: fmt.Sprintf(format, args...)})
 }
 
-// TypeOf returns the type of expression e, or nil when unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
+// typeOf returns the type of expression e, or nil when unknown.
+func (p *Pass) typeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // All returns the registered analyzers in a stable order. The CFG analyzers
 // (detorder, lockbalance, poolrelease, poollifetime, errflow, ratioguard)
@@ -167,14 +167,9 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]t
 	return diags, rules
 }
 
-// Run applies the analyzers to every package and returns the findings
-// sorted by file, line, column, then rule.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunConcurrent(pkgs, analyzers, 1)
-	return diags
-}
-
-// RunConcurrent is Run with a bounded worker pool over packages. Loading is
+// RunConcurrent applies the analyzers to every package with a bounded
+// worker pool and returns the findings sorted by file, line, column, then
+// rule. Loading is
 // the caller's problem and stays serial (Load memoises each in-module
 // package as it type-checks it); analysis of already-type-checked packages
 // is read-only per package, so packages can run in parallel. Results land

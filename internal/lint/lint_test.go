@@ -1359,7 +1359,8 @@ func TestByName(t *testing.T) {
 
 // TestSelfCheck runs every analyzer over the repository itself and demands
 // zero findings: the tree must stay vqlint-clean, and any new finding must
-// be fixed or explicitly suppressed with a rationale.
+// be fixed or explicitly suppressed with a rationale. Its "exports" subtest
+// checks the same load for exported code that only tests call.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository")
@@ -1372,6 +1373,8 @@ func TestSelfCheck(t *testing.T) {
 	if len(diags) != 0 {
 		t.Errorf("repository is not vqlint-clean: %d findings\n%s", len(diags), formatDiags(diags))
 	}
+	// The same load pins the exported surface of internal/ to its callers.
+	t.Run("exports", func(t *testing.T) { checkExportsUsed(t, pkgs) })
 }
 
 // TestLoadSharesModulePackages pins the loader's contract: an in-module

@@ -158,13 +158,13 @@ func lockBalanceFunc(p *Pass, fn funcScope) {
 		if !ok {
 			continue
 		}
-		lbTransfer(p, b, g, lbClone(in), fn.deferredLit, p.Reportf)
+		lbTransfer(p, b, g, lbClone(in), fn.deferredLit, p.reportf)
 	}
 }
 
 // lbTransfer interprets one block. When report is non-nil it also emits the
 // diagnostics for this block (the solver passes nil; the replay passes
-// Pass.Reportf). lenient relaxes the unmatched-unlock check for deferred
+// Pass.reportf). lenient relaxes the unmatched-unlock check for deferred
 // literals, which release locks their enclosing function took.
 func lbTransfer(p *Pass, b *cfg.Block, g *cfg.Graph, s lbState, lenient bool, report func(token.Pos, string, ...any)) {
 	for _, n := range b.Nodes {

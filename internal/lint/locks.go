@@ -34,8 +34,8 @@ func runMutexCopy(p *Pass) {
 					checkValueCopy(p, v)
 				}
 			case *ast.RangeStmt:
-				if node.Value != nil && containsLock(p.TypeOf(node.Value)) {
-					p.Reportf(node.Value.Pos(), "range value copies %s which contains a sync lock; iterate by index or pointer", p.TypeOf(node.Value))
+				if node.Value != nil && containsLock(p.typeOf(node.Value)) {
+					p.reportf(node.Value.Pos(), "range value copies %s which contains a sync lock; iterate by index or pointer", p.typeOf(node.Value))
 				}
 			}
 			return true
@@ -49,7 +49,7 @@ func checkSignature(p *Pass, recv *ast.FieldList, ft *ast.FuncType) {
 			return
 		}
 		for _, field := range fl.List {
-			t := p.TypeOf(field.Type)
+			t := p.typeOf(field.Type)
 			if t == nil {
 				continue
 			}
@@ -57,7 +57,7 @@ func checkSignature(p *Pass, recv *ast.FieldList, ft *ast.FuncType) {
 				continue
 			}
 			if containsLock(t) {
-				p.Reportf(field.Type.Pos(), "%s passes %s by value but it contains a sync lock; use a pointer", what, t)
+				p.reportf(field.Type.Pos(), "%s passes %s by value but it contains a sync lock; use a pointer", what, t)
 			}
 		}
 	}
@@ -76,7 +76,7 @@ func checkValueCopy(p *Pass, rhs ast.Expr) {
 	default:
 		return
 	}
-	t := p.TypeOf(rhs)
+	t := p.typeOf(rhs)
 	if t == nil {
 		return
 	}
@@ -84,7 +84,7 @@ func checkValueCopy(p *Pass, rhs ast.Expr) {
 		return
 	}
 	if containsLock(t) {
-		p.Reportf(rhs.Pos(), "assignment copies %s which contains a sync lock; use a pointer", t)
+		p.reportf(rhs.Pos(), "assignment copies %s which contains a sync lock; use a pointer", t)
 	}
 }
 
@@ -138,7 +138,7 @@ func mutexCall(p *Pass, call *ast.CallExpr) (recv, op string) {
 	default:
 		return "", ""
 	}
-	t := p.TypeOf(sel.X)
+	t := p.typeOf(sel.X)
 	if t == nil {
 		return "", ""
 	}

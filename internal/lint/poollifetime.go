@@ -137,7 +137,7 @@ func poolLifetimeFunc(p *Pass, fn funcScope) {
 	if exit, ok := res.In[g.Exit]; ok {
 		for k, fact := range exit.rel {
 			if dpos, pending := exit.def[k]; pending && fact.releasedAt > dpos {
-				p.Reportf(fact.releasedAt, "%s is released here and again by the deferred release at line %d",
+				p.reportf(fact.releasedAt, "%s is released here and again by the deferred release at line %d",
 					fact.what, p.Fset.Position(dpos).Line)
 			}
 		}
@@ -212,7 +212,7 @@ func (ctx *plCtx) releaseTargets(call *ast.CallExpr) []ast.Expr {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "Release":
-			if len(call.Args) == 0 && hasReleaseMethod(p.TypeOf(sel.X)) {
+			if len(call.Args) == 0 && hasReleaseMethod(p.typeOf(sel.X)) {
 				out = append(out, sel.X)
 			}
 		case "Put":
@@ -221,7 +221,7 @@ func (ctx *plCtx) releaseTargets(call *ast.CallExpr) []ast.Expr {
 				if u, ok := bare.(*ast.UnaryExpr); ok && u.Op == token.AND {
 					bare = u.X
 				}
-				if isSyncPool(p, sel.X) || hasReleaseMethod(p.TypeOf(bare)) {
+				if isSyncPool(p, sel.X) || hasReleaseMethod(p.typeOf(bare)) {
 					out = append(out, bare)
 				}
 			}
@@ -259,7 +259,7 @@ func (ctx *plCtx) applyRelease(call *ast.CallExpr, s plState, report bool) {
 		}
 		if old, released := s.rel[key]; released {
 			if report {
-				ctx.p.Reportf(call.Pos(), "%s released twice: already released at line %d",
+				ctx.p.reportf(call.Pos(), "%s released twice: already released at line %d",
 					old.what, ctx.p.Fset.Position(old.releasedAt).Line)
 			}
 			continue
@@ -284,14 +284,14 @@ func (ctx *plCtx) applyDefer(n *ast.DeferStmt, s plState, report bool) {
 		}
 		if old, released := s.rel[key]; released {
 			if report {
-				ctx.p.Reportf(n.Pos(), "deferred release of %s: value already released at line %d",
+				ctx.p.reportf(n.Pos(), "deferred release of %s: value already released at line %d",
 					old.what, ctx.p.Fset.Position(old.releasedAt).Line)
 			}
 			continue
 		}
 		if prev, pending := s.def[key]; pending {
 			if report {
-				ctx.p.Reportf(n.Pos(), "%s has two deferred releases (first at line %d)",
+				ctx.p.reportf(n.Pos(), "%s has two deferred releases (first at line %d)",
 					types.ExprString(unparen(target)), ctx.p.Fset.Position(prev).Line)
 			}
 			continue
@@ -371,7 +371,7 @@ func (ctx *plCtx) useCheck(n ast.Node, s plState, exempt map[ast.Expr]bool) {
 		}
 		if key, _, ok := ctx.render(e); ok {
 			if f, dead := s.rel[key]; dead {
-				ctx.p.Reportf(e.Pos(), "use of %s after its release at line %d",
+				ctx.p.reportf(e.Pos(), "use of %s after its release at line %d",
 					f.what, ctx.p.Fset.Position(f.releasedAt).Line)
 				delete(s.rel, key)
 				return

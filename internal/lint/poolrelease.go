@@ -124,7 +124,7 @@ func poolReleaseFunc(p *Pass, fn funcScope) {
 		if !ok {
 			continue
 		}
-		prTransfer(p, b, g, prClone(in), caps, p.Reportf)
+		prTransfer(p, b, g, prClone(in), caps, p.reportf)
 	}
 }
 
@@ -384,7 +384,7 @@ func prAcquireCall(p *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	// The result type must itself carry a Release method; this keeps an
 	// unrelated NewTable from creating phantom obligations.
-	t := p.TypeOf(call)
+	t := p.typeOf(call)
 	if tup, ok := t.(*types.Tuple); ok {
 		if tup.Len() == 0 {
 			return "", false
@@ -404,7 +404,7 @@ func hasReleaseMethod(t types.Type) bool {
 }
 
 func isSyncPool(p *Pass, e ast.Expr) bool {
-	t := p.TypeOf(e)
+	t := p.typeOf(e)
 	if t == nil {
 		return false
 	}

@@ -530,7 +530,7 @@ func rgCheckDen(p *Pass, den ast.Expr, s rgState) {
 			return
 		}
 	}
-	p.Reportf(den.Pos(), "division by %s is not dominated by a non-zero guard on every path (NaN/Inf or panic on starved input); add a zero test or use eps.Div", denStr)
+	p.reportf(den.Pos(), "division by %s is not dominated by a non-zero guard on every path (NaN/Inf or panic on starved input); add a zero test", denStr)
 }
 
 // rgSubjectGuarded reports whether the facts prove sub non-zero: directly,
@@ -588,7 +588,7 @@ func rgNumericConv(p *Pass, e ast.Expr) (ast.Expr, bool) {
 }
 
 func rgIsInteger(p *Pass, e ast.Expr) bool {
-	t := p.TypeOf(e)
+	t := p.typeOf(e)
 	if t == nil {
 		return false
 	}

@@ -53,10 +53,9 @@ var wallClockCone = map[string]bool{
 var wallClockAllow = map[string][]string{
 	"repro/internal/ingest": {
 		// Connection read deadlines, the accept loop that spawns them, and
-		// the Serve entry point that starts it.
+		// the Listen entry point that starts it.
 		"Aggregator.serveConn",
 		"Aggregator.acceptLoop",
-		"Aggregator.Serve",
 		"Aggregator.Listen",
 		// Graceful-drain timeouts.
 		"Aggregator.CloseGrace",
@@ -65,7 +64,7 @@ var wallClockAllow = map[string][]string{
 		// starts the loop.
 		"Relay.announce",
 		"Relay.run",
-		"NewRelay",
+		"newRelay",
 		"StartNode",
 	},
 	"corpus/wallclock_basic": {"backoffAllowed"},
@@ -115,7 +114,7 @@ func runWallClock(p *Pass) {
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if pos, what, ok := wallClockSite(p, n); ok {
-						p.Reportf(pos, "%s in a package-level initializer of the deterministic analysis cone", what)
+						p.reportf(pos, "%s in a package-level initializer of the deterministic analysis cone", what)
 					}
 					return true
 				})
@@ -166,7 +165,7 @@ func runWallClock(p *Pass) {
 			continue
 		}
 		for _, site := range directSites[decl] {
-			p.Reportf(site.pos, "%s in the deterministic analysis cone; thread a clock through the config or allowlist %s", site.what, wallClockName(decl))
+			p.reportf(site.pos, "%s in the deterministic analysis cone; thread a clock through the config or allowlist %s", site.what, wallClockName(decl))
 		}
 		fn := wallClockObj(p, decl)
 		if fn == nil {
@@ -178,7 +177,7 @@ func runWallClock(p *Pass) {
 		}
 		for _, site := range node.Sites {
 			if site.Callee != nil && allowedObjs[site.Callee] && tainted[site.Callee] {
-				p.Reportf(site.Call.Pos(), "call to %s, which reads the wall clock, from non-allowlisted code in the deterministic analysis cone", site.Callee.Name())
+				p.reportf(site.Call.Pos(), "call to %s, which reads the wall clock, from non-allowlisted code in the deterministic analysis cone", site.Callee.Name())
 			}
 		}
 	}

@@ -234,7 +234,7 @@ func wgBalanceFunc(p *Pass, fn funcScope) {
 		if !ok {
 			continue
 		}
-		ctx.transfer(b, g, wgClone(in), p.Reportf)
+		ctx.transfer(b, g, wgClone(in), p.reportf)
 	}
 }
 
@@ -505,7 +505,7 @@ func wgCall(p *Pass, call *ast.CallExpr) (key, op string, baseVar *types.Var, ok
 	default:
 		return "", "", nil, false
 	}
-	t := p.TypeOf(sel.X)
+	t := p.typeOf(sel.X)
 	if t == nil {
 		return "", "", nil, false
 	}

@@ -147,17 +147,6 @@ type QoE struct {
 	DurationS float64
 }
 
-// Defined reports whether metric m is measurable for this session. Join
-// failure is always defined; the continuous metrics are undefined for
-// sessions that never started (paper §2 treats the metrics independently,
-// and a failed join produces no playback to measure).
-func (q QoE) Defined(m Metric) bool {
-	if m == JoinFailure {
-		return true
-	}
-	return !q.JoinFailed
-}
-
 // Problem reports whether the session is a problem session on metric m
 // under thresholds t. Undefined metrics are never problems. The boundary
 // comparisons are tolerance-aware (eps.GT/eps.LT): a session at exactly the
@@ -175,25 +164,6 @@ func (q QoE) Problem(m Metric, t Thresholds) bool {
 		return !q.JoinFailed && eps.GT(q.JoinTimeMS, t.JoinTimeMS)
 	}
 	return false
-}
-
-// Value returns the raw value of metric m for CDF-style reporting
-// (JoinFailure yields 1 for failed, 0 otherwise).
-func (q QoE) Value(m Metric) float64 {
-	switch m {
-	case BufRatio:
-		return q.BufRatio
-	case Bitrate:
-		return q.BitrateKbps
-	case JoinTime:
-		return q.JoinTimeMS
-	case JoinFailure:
-		if q.JoinFailed {
-			return 1
-		}
-		return 0
-	}
-	return 0
 }
 
 // Validate reports the first physically impossible field, if any.

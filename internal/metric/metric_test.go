@@ -149,35 +149,6 @@ func TestProblemBoundariesUlpTolerant(t *testing.T) {
 	}
 }
 
-func TestDefined(t *testing.T) {
-	ok := QoE{BitrateKbps: 1000}
-	failed := QoE{JoinFailed: true}
-	for _, m := range All() {
-		if !ok.Defined(m) {
-			t.Errorf("played session should define %v", m)
-		}
-	}
-	if failed.Defined(BufRatio) || failed.Defined(Bitrate) || failed.Defined(JoinTime) {
-		t.Error("failed session should not define continuous metrics")
-	}
-	if !failed.Defined(JoinFailure) {
-		t.Error("JoinFailure must always be defined")
-	}
-}
-
-func TestQoEValue(t *testing.T) {
-	q := QoE{BufRatio: 0.07, BitrateKbps: 1234, JoinTimeMS: 2500}
-	if q.Value(BufRatio) != 0.07 || q.Value(Bitrate) != 1234 || q.Value(JoinTime) != 2500 {
-		t.Errorf("Value mismatch: %+v", q)
-	}
-	if q.Value(JoinFailure) != 0 {
-		t.Errorf("Value(JoinFailure) = %v for played session, want 0", q.Value(JoinFailure))
-	}
-	if (QoE{JoinFailed: true}).Value(JoinFailure) != 1 {
-		t.Error("Value(JoinFailure) = 0 for failed session, want 1")
-	}
-}
-
 func TestQoEValidate(t *testing.T) {
 	good := QoE{BufRatio: 0.5, BitrateKbps: 100, JoinTimeMS: 10, DurationS: 5}
 	if err := good.Validate(); err != nil {

@@ -26,7 +26,7 @@ func (t *Table) AddRow(cells ...any) {
 		case string:
 			row[i] = v
 		case float64:
-			row[i] = FormatFloat(v)
+			row[i] = formatFloat(v)
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -109,10 +109,10 @@ func (f *Figure) Render(w io.Writer) error {
 	t := Table{Title: f.Title, Columns: append([]string{f.XLabel}, f.Series...)}
 	for j, x := range f.X {
 		row := make([]string, 0, len(f.Series)+1)
-		row = append(row, FormatFloat(x))
+		row = append(row, formatFloat(x))
 		for i := range f.Series {
 			if j < len(f.Y[i]) {
-				row = append(row, FormatFloat(f.Y[i][j]))
+				row = append(row, formatFloat(f.Y[i][j]))
 			} else {
 				row = append(row, "-")
 			}
@@ -122,9 +122,9 @@ func (f *Figure) Render(w io.Writer) error {
 	return t.Render(w)
 }
 
-// FormatFloat renders a float compactly: integers without decimals, small
+// formatFloat renders a float compactly: integers without decimals, small
 // magnitudes with enough precision to be meaningful.
-func FormatFloat(v float64) string {
+func formatFloat(v float64) string {
 	if v == float64(int64(v)) && v < 1e15 && v > -1e15 { //vqlint:ignore floatcmp exact integrality test, not a tolerance comparison
 		return strconv.FormatInt(int64(v), 10)
 	}

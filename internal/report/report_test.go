@@ -134,8 +134,8 @@ func TestFormatFloat(t *testing.T) {
 		{1e-7, "1e-07"},
 	}
 	for _, c := range cases {
-		if got := FormatFloat(c.v); got != c.want {
-			t.Errorf("FormatFloat(%v) = %q, want %q", c.v, got, c.want)
+		if got := formatFloat(c.v); got != c.want {
+			t.Errorf("formatFloat(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }

@@ -63,30 +63,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[i]
 }
 
-// Points samples the CDF at n evenly spaced sample-rank positions, returning
-// (x, P(X<=x)) pairs suitable for plotting or table output. n < 2 yields a
-// single point at the maximum.
-func (e *ECDF) Points(n int) []Point {
-	if len(e.sorted) == 0 {
-		return nil
-	}
-	if n < 2 {
-		return []Point{{X: e.sorted[len(e.sorted)-1], Y: 1}}
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		x := e.Quantile(q)
-		pts = append(pts, Point{X: x, Y: e.At(x)})
-	}
-	return pts
-}
-
-// Point is an (x, y) pair of a plotted series.
-type Point struct {
-	X, Y float64
-}
-
 // Summary holds the standard moments and order statistics of a sample set.
 type Summary struct {
 	N              int
@@ -137,13 +113,4 @@ func Mean(samples []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(samples))
-}
-
-// Median returns the 50th percentile (0 for empty input).
-func Median(samples []float64) float64 {
-	e, err := NewECDF(samples)
-	if err != nil || e.N() == 0 {
-		return 0
-	}
-	return e.Quantile(0.5)
 }

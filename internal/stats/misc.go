@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -75,22 +74,6 @@ func MaxInt(xs []int) int {
 	return m
 }
 
-// LogBins returns n logarithmically spaced bin edges from lo to hi
-// inclusive, for histograms over heavy-tailed quantities (Fig. 1's log-x
-// CDFs). lo and hi must be positive with lo < hi and n >= 2.
-func LogBins(lo, hi float64, n int) ([]float64, error) {
-	if lo <= 0 || hi <= lo || n < 2 {
-		return nil, fmt.Errorf("stats: bad log bins (lo=%v hi=%v n=%d)", lo, hi, n)
-	}
-	edges := make([]float64, n)
-	ratio := math.Log(hi / lo)
-	for i := 0; i < n; i++ {
-		edges[i] = lo * math.Exp(ratio*float64(i)/float64(n-1))
-	}
-	edges[n-1] = hi
-	return edges, nil
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -100,28 +83,6 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// TopK returns the indexes of the k largest scores, ties broken by lower
-// index for determinism. k is clamped to len(scores).
-func TopK(scores []float64, k int) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return idx[:k]
 }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length

@@ -34,8 +34,8 @@ func (r *RNG) Split(label uint64) *RNG {
 	return &RNG{state: z ^ (z >> 31)}
 }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
+// uint64 returns the next 64 random bits.
+func (r *RNG) uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -45,7 +45,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.uint64()>>11) / (1 << 53)
 }
 
 // Intn returns a uniform value in [0, n). It panics when n <= 0.
@@ -53,15 +53,15 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(r.uint64() % uint64(n))
 }
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 
-// NormFloat64 returns a standard normal variate (Box–Muller; one value per
+// normFloat64 returns a standard normal variate (Box–Muller; one value per
 // call keeps the generator splittable without cached state).
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) normFloat64() float64 {
 	u := r.nonZero()
 	v := r.Float64()
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
@@ -81,7 +81,7 @@ func (r *RNG) nonZero() float64 {
 // LogNormal returns a lognormal variate with the given parameters of the
 // underlying normal (mu, sigma). The median is e^mu.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + sigma*r.normFloat64())
 }
 
 // Pareto returns a Pareto variate with scale xm > 0 and shape alpha > 0.
@@ -140,7 +140,7 @@ func (r *RNG) gamma(shape float64) float64 {
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
-		x := r.NormFloat64()
+		x := r.normFloat64()
 		v := 1 + c*x
 		if v <= 0 {
 			continue

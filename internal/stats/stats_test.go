@@ -9,11 +9,11 @@ import (
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.uint64() != b.uint64() {
 			t.Fatal("same seed produced different streams")
 		}
 	}
-	if NewRNG(1).Uint64() == NewRNG(2).Uint64() {
+	if NewRNG(1).uint64() == NewRNG(2).uint64() {
 		t.Error("different seeds produced identical first value")
 	}
 }
@@ -23,10 +23,10 @@ func TestRNGSplitIndependence(t *testing.T) {
 	s1 := r.Split(1)
 	s2 := r.Split(2)
 	s1again := NewRNG(7).Split(1)
-	if s1.Uint64() != s1again.Uint64() {
+	if s1.uint64() != s1again.uint64() {
 		t.Error("Split is not stable for the same label")
 	}
-	if s1.Uint64() == s2.Uint64() {
+	if s1.uint64() == s2.uint64() {
 		t.Error("Split streams for different labels collide immediately")
 	}
 }
@@ -67,7 +67,7 @@ func TestNormFloat64Moments(t *testing.T) {
 	n := 200_000
 	var sum, sq float64
 	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
+		v := r.normFloat64()
 		sum += v
 		sq += v * v
 	}
@@ -87,7 +87,7 @@ func TestLogNormalMedian(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		samples = append(samples, r.LogNormal(math.Log(3), 0.8))
 	}
-	med := Median(samples)
+	med := Summarize(samples).P50
 	if med < 2.7 || med > 3.3 {
 		t.Errorf("lognormal median = %v, want ~3", med)
 	}
@@ -195,24 +195,6 @@ func TestZipfSkew(t *testing.T) {
 	if math.Abs(p0-0.1928) > 0.01 {
 		t.Errorf("Zipf p(0) = %v, want ~0.1928", p0)
 	}
-	if math.Abs(z.Prob(0)-0.1928) > 0.001 {
-		t.Errorf("Zipf.Prob(0) = %v, want ~0.1928", z.Prob(0))
-	}
-}
-
-func TestZipfUniform(t *testing.T) {
-	z, err := NewZipf(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if math.Abs(z.Prob(i)-0.25) > 1e-12 {
-			t.Errorf("uniform Zipf Prob(%d) = %v", i, z.Prob(i))
-		}
-	}
-	if z.Prob(-1) != 0 || z.Prob(4) != 0 {
-		t.Error("out-of-range Prob should be 0")
-	}
 }
 
 func TestZipfErrors(t *testing.T) {
@@ -312,22 +294,6 @@ func TestECDFQuantile(t *testing.T) {
 	}
 }
 
-func TestECDFPoints(t *testing.T) {
-	e, _ := NewECDF([]float64{1, 2, 3, 4, 5})
-	pts := e.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("Points(5) returned %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y {
-			t.Errorf("Points not monotone at %d: %+v", i, pts)
-		}
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("last point Y = %v, want 1", pts[len(pts)-1].Y)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
@@ -420,51 +386,9 @@ func TestMedianIntMaxInt(t *testing.T) {
 	}
 }
 
-func TestLogBins(t *testing.T) {
-	edges, err := LogBins(1e-5, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edges[0] != 1e-5 || edges[5] != 1 {
-		t.Errorf("edges endpoints = %v", edges)
-	}
-	for i := 1; i < len(edges); i++ {
-		ratio := edges[i] / edges[i-1]
-		if math.Abs(ratio-10) > 1e-9 {
-			t.Errorf("edge ratio %d = %v, want 10", i, ratio)
-		}
-	}
-	if _, err := LogBins(0, 1, 5); err == nil {
-		t.Error("LogBins(lo=0) accepted")
-	}
-	if _, err := LogBins(1, 1, 5); err == nil {
-		t.Error("LogBins(hi==lo) accepted")
-	}
-	if _, err := LogBins(1, 2, 1); err == nil {
-		t.Error("LogBins(n=1) accepted")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp wrong")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	scores := []float64{0.3, 0.9, 0.1, 0.9, 0.5}
-	got := TopK(scores, 3)
-	want := []int{1, 3, 4} // ties broken by lower index
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
-		}
-	}
-	if len(TopK(scores, 99)) != 5 {
-		t.Error("TopK should clamp k")
-	}
-	if len(TopK(scores, -1)) != 0 {
-		t.Error("TopK(-1) should be empty")
 	}
 }
 
@@ -474,9 +398,6 @@ func TestMeanMedianHelpers(t *testing.T) {
 	}
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) should be 0")
-	}
-	if Median([]float64{9, 1, 5}) != 5 {
-		t.Error("Median wrong")
 	}
 }
 

@@ -39,24 +39,10 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 	return &Zipf{cum: cum}, nil
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // Sample draws a rank using randomness from r.
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()
 	return sort.SearchFloat64s(z.cum, u)
-}
-
-// Prob returns the probability of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cum) {
-		return 0
-	}
-	if i == 0 {
-		return z.cum[0]
-	}
-	return z.cum[i] - z.cum[i-1]
 }
 
 // WeightedChoice samples an index proportionally to the given non-negative

@@ -68,8 +68,8 @@ func DefaultConfig() Config {
 	return cfg
 }
 
-// Validate reports the first invalid field.
-func (c Config) Validate() error {
+// validate reports the first invalid field.
+func (c Config) validate() error {
 	if c.Trace.Len() <= 0 {
 		return fmt.Errorf("synth: empty trace range")
 	}
@@ -98,7 +98,7 @@ type Generator struct {
 // New builds a generator: the world and the ground-truth schedule are
 // derived deterministically from the config.
 func New(cfg Config) (*Generator, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg.World.Seed = cfg.Seed

@@ -31,7 +31,9 @@ var ErrClosed = errors.New("trace: closed")
 // Header describes a trace.
 type Header struct {
 	Version int `json:"version"`
-	// Epochs is the number of one-hour epochs the trace spans.
+	// Epochs is the number of one-hour epochs the trace spans; 0 means the
+	// span is unknown, as in a trace written by live collection before any
+	// session arrived.
 	Epochs int `json:"epochs"`
 	// Seed reproduces a synthetic trace exactly.
 	Seed uint64 `json:"seed"`
@@ -355,8 +357,8 @@ func (r *Reader) source() io.Reader {
 // Next reads the next session into s. It returns io.EOF at the end of the
 // trace. A torn tail — the stream ending mid-record, as a crashed writer
 // leaves it — is recovered, not fatal: the partial record is skipped with
-// a warning, TornTail is set, and Next reports a clean io.EOF. Everything
-// before the tear has already been returned intact.
+// a warning, the reader marks itself torn, and Next reports a clean
+// io.EOF. Everything before the tear has already been returned intact.
 func (r *Reader) Next(s *session.Session) error {
 	if r.closed {
 		return ErrClosed
@@ -376,27 +378,6 @@ func (r *Reader) Next(s *session.Session) error {
 	}
 	_, err := session.DecodeBinary(r.buf, s)
 	return err
-}
-
-// TornTail reports whether the stream ended mid-record and the partial
-// tail was skipped.
-func (r *Reader) TornTail() bool { return r.torn }
-
-// ReadAll drains the trace into memory. Intended for laptop-scale traces
-// and tests; large traces should use Next or ForEach.
-func (r *Reader) ReadAll() ([]session.Session, error) {
-	var out []session.Session
-	var s session.Session
-	for {
-		err := r.Next(&s)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
 }
 
 // ForEach streams every session through fn, stopping at the first error.

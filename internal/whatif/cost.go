@@ -52,8 +52,8 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Validate reports the first invalid field.
-func (c CostModel) Validate() error {
+// validate reports the first invalid field.
+func (c CostModel) validate() error {
 	for _, v := range []float64{c.SiteFixed, c.CDNFixed, c.ASNFixed, c.OtherFixed, c.PerSession} {
 		if v < 0 {
 			return fmt.Errorf("whatif: negative cost component %v", v)
@@ -65,10 +65,10 @@ func (c CostModel) Validate() error {
 	return nil
 }
 
-// Cost prices fixing one critical cluster with the given total attributed
+// cost prices fixing one critical cluster with the given total attributed
 // session volume. Multi-attribute clusters price at the most expensive
 // component they touch (the fix must reach that part of the path).
-func (c CostModel) Cost(k attr.Key, attributedSessions float64) float64 {
+func (c CostModel) cost(k attr.Key, attributedSessions float64) float64 {
 	fixed := 0.0
 	pick := func(v float64) {
 		if v > fixed {
@@ -119,7 +119,7 @@ type CostBenefitResult struct {
 // achieved. Budgets are fractions of the cost of fixing everything.
 func CostBenefit(tr *core.TraceResult, m metric.Metric, model CostModel, budgetFracs []float64) (CostBenefitResult, error) {
 	res := CostBenefitResult{Metric: m}
-	if err := model.Validate(); err != nil {
+	if err := model.validate(); err != nil {
 		return res, err
 	}
 	h := analysis.BuildHistory(tr, m)
@@ -144,7 +144,7 @@ func CostBenefit(tr *core.TraceResult, m metric.Metric, model CostModel, budgetF
 	sort.Slice(criticalKeys, func(i, j int) bool { return analysis.KeyLess(criticalKeys[i], criticalKeys[j]) })
 	for _, k := range criticalKeys {
 		o := FixKeys(tr, m, map[attr.Key]bool{k: true}, tr.Trace)
-		cost := model.Cost(k, h.Critical[k].TotalSessions)
+		cost := model.cost(k, h.Critical[k].TotalSessions)
 		cands = append(cands, cand{key: k, benefit: o.Alleviated, cost: cost})
 		totalCost += cost
 	}

@@ -9,25 +9,25 @@ import (
 
 func TestCostModelPricing(t *testing.T) {
 	m := DefaultCostModel()
-	site := m.Cost(k(map[attr.Dim]int32{attr.Site: 1}), 0)
-	cdnKey := m.Cost(k(map[attr.Dim]int32{attr.CDN: 1}), 0)
-	asn := m.Cost(k(map[attr.Dim]int32{attr.ASN: 1}), 0)
-	other := m.Cost(k(map[attr.Dim]int32{attr.Browser: 1}), 0)
+	site := m.cost(k(map[attr.Dim]int32{attr.Site: 1}), 0)
+	cdnKey := m.cost(k(map[attr.Dim]int32{attr.CDN: 1}), 0)
+	asn := m.cost(k(map[attr.Dim]int32{attr.ASN: 1}), 0)
+	other := m.cost(k(map[attr.Dim]int32{attr.Browser: 1}), 0)
 	if !(cdnKey > asn && asn > other && other > site) {
 		t.Errorf("cost ordering wrong: site=%v cdn=%v asn=%v other=%v", site, cdnKey, asn, other)
 	}
 	// Multi-attribute clusters price at the most expensive component.
-	pair := m.Cost(k(map[attr.Dim]int32{attr.Site: 1, attr.CDN: 2}), 0)
+	pair := m.cost(k(map[attr.Dim]int32{attr.Site: 1, attr.CDN: 2}), 0)
 	if pair != cdnKey {
 		t.Errorf("pair cost = %v, want the CDN component %v", pair, cdnKey)
 	}
 	// Volume term.
-	withVolume := m.Cost(k(map[attr.Dim]int32{attr.Site: 1}), 1000)
+	withVolume := m.cost(k(map[attr.Dim]int32{attr.Site: 1}), 1000)
 	if withVolume != site+1000*m.PerSession {
 		t.Errorf("volume pricing = %v", withVolume)
 	}
 	// Root key prices as "other".
-	if m.Cost(attr.Root, 0) != m.OtherFixed {
+	if m.cost(attr.Root, 0) != m.OtherFixed {
 		t.Error("root should price as other")
 	}
 }
@@ -35,13 +35,13 @@ func TestCostModelPricing(t *testing.T) {
 func TestCostModelValidate(t *testing.T) {
 	bad := DefaultCostModel()
 	bad.CDNFixed = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative cost accepted")
 	}
-	if (CostModel{}).Validate() == nil {
+	if (CostModel{}).validate() == nil {
 		t.Error("zero model accepted")
 	}
-	if DefaultCostModel().Validate() != nil {
+	if DefaultCostModel().validate() != nil {
 		t.Error("default model rejected")
 	}
 }

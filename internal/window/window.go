@@ -167,9 +167,6 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Config returns the engine geometry.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Start opens the first tick. Must be called once before Observe/Advance.
 func (e *Engine) Start(t Tick) error {
 	if e.started {
@@ -185,16 +182,6 @@ func (e *Engine) Start(t Tick) error {
 
 // Tick returns the currently accumulating tick.
 func (e *Engine) Tick() Tick { return e.cur.tick }
-
-// Sessions returns the number of sessions in the closed window (the open
-// tick's sessions are not yet part of the window).
-func (e *Engine) Sessions() int {
-	n := 0
-	for i := range e.win {
-		n += len(e.win[i].lites)
-	}
-	return n
-}
 
 // Pending returns the number of sessions observed into the open tick (not
 // yet part of the window).

@@ -286,9 +286,9 @@ func (w *World) estimateMarginals() {
 	}
 }
 
-// MarginalShare returns the estimated fraction of sessions carrying value
+// marginalShare returns the estimated fraction of sessions carrying value
 // id on dimension d.
-func (w *World) MarginalShare(d attr.Dim, id int32) float64 {
+func (w *World) marginalShare(d attr.Dim, id int32) float64 {
 	if int(d) >= len(w.marginals) || id < 0 || int(id) >= len(w.marginals[d]) {
 		return 0
 	}
@@ -300,7 +300,7 @@ func (w *World) MarginalShare(d attr.Dim, id int32) float64 {
 func (w *World) KeyShare(k attr.Key) float64 {
 	share := 1.0
 	for _, d := range k.Mask.Dims() {
-		share *= w.MarginalShare(d, k.Vals[d])
+		share *= w.marginalShare(d, k.Vals[d])
 	}
 	return share
 }

@@ -269,7 +269,7 @@ func TestMarginalShares(t *testing.T) {
 			card = NumConnTypes
 		}
 		for id := int32(0); int(id) < card; id++ {
-			share := w.MarginalShare(d, id)
+			share := w.marginalShare(d, id)
 			if share < 0 || share > 1 {
 				t.Fatalf("%v[%d] share = %v", d, id, share)
 			}
@@ -280,10 +280,10 @@ func TestMarginalShares(t *testing.T) {
 		}
 	}
 	// Zipf head dominates.
-	if w.MarginalShare(attr.Site, 0) <= w.MarginalShare(attr.Site, 100) {
+	if w.marginalShare(attr.Site, 0) <= w.marginalShare(attr.Site, 100) {
 		t.Error("site popularity not decreasing in rank")
 	}
-	if w.MarginalShare(attr.Site, -1) != 0 || w.MarginalShare(attr.Dim(99), 0) != 0 {
+	if w.marginalShare(attr.Site, -1) != 0 || w.marginalShare(attr.Dim(99), 0) != 0 {
 		t.Error("out-of-range shares should be 0")
 	}
 }
