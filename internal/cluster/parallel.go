@@ -18,23 +18,6 @@ func ResolveWorkers(workers int) int {
 	return workers
 }
 
-// shardIDPool recycles the per-epoch shard-assignment buffer.
-var shardIDPool sync.Pool
-
-func acquireShardIDs(n int) []uint8 {
-	if p, ok := shardIDPool.Get().(*[]uint8); ok {
-		if cap(*p) >= n {
-			return (*p)[:n]
-		}
-		shardIDPool.Put(p) // too small for this epoch; keep it for smaller ones
-	}
-	return make([]uint8, n)
-}
-
-func releaseShardIDs(ids []uint8) {
-	shardIDPool.Put(&ids)
-}
-
 // NewTableParallel builds the same count table as NewTable by sharding the
 // session stream across workers goroutines. Sessions are partitioned by the
 // splitmix64 hash of their full attribute vector (cktable.VectorHash), so
@@ -62,7 +45,7 @@ func NewTableParallel(e epoch.Index, sessions []Lite, maxDims, workers int) *Tab
 
 	// One serial pre-pass computes each session's shard so the per-worker
 	// scans below test a byte instead of re-hashing the vector W times.
-	ids := acquireShardIDs(len(sessions))
+	ids := make([]uint8, len(sessions))
 	for i := range sessions {
 		ids[i] = uint8(cktable.VectorHash(sessions[i].Attrs) % uint64(workers))
 	}
@@ -91,7 +74,6 @@ func NewTableParallel(e epoch.Index, sessions []Lite, maxDims, workers int) *Tab
 		}(w)
 	}
 	wg.Wait()
-	releaseShardIDs(ids)
 
 	// Tree merge: log2(workers) concurrent rounds of pairwise merges, so
 	// the serial fraction is one final merge instead of workers-1.
@@ -116,26 +98,5 @@ func NewTableParallel(e epoch.Index, sessions []Lite, maxDims, workers int) *Tab
 		Sessions: sessions,
 		MaxDims:  maxDims,
 		ck:       shards[0],
-	}
-}
-
-// litePool recycles per-epoch digest buffers between epochs. AnalyzeEpoch
-// and the online detector do not retain their lites argument beyond the
-// call (the pooled table's session reference is cleared on release), so
-// returning a buffer after analysis is safe.
-var litePool sync.Pool
-
-// AcquireLites returns an empty digest buffer, reusing pooled capacity.
-func AcquireLites() []Lite {
-	if p, ok := litePool.Get().(*[]Lite); ok {
-		return (*p)[:0]
-	}
-	return nil
-}
-
-// ReleaseLites returns a digest buffer to the pool.
-func ReleaseLites(lites []Lite) {
-	if cap(lites) > 0 {
-		litePool.Put(&lites)
 	}
 }

@@ -314,12 +314,11 @@ func AnalyzeGenerator(g *synth.Generator, cfg Config) (*TraceResult, error) {
 	epochCfg := cfg
 	epochCfg.Workers = 1
 	err := g.ForEachEpoch(cfg.Workers, func(e epoch.Index, batch []session.Session) error {
-		lites := cluster.AcquireLites()
+		lites := make([]cluster.Lite, len(batch))
 		for i := range batch {
-			lites = append(lites, cluster.Digest(&batch[i], cfg.Thresholds))
+			lites[i] = cluster.Digest(&batch[i], cfg.Thresholds)
 		}
 		res, err := AnalyzeEpoch(e, lites, epochCfg)
-		cluster.ReleaseLites(lites)
 		if err != nil {
 			return err
 		}
@@ -374,7 +373,6 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 				return
 			}
 			res, err := AnalyzeEpoch(j.e, j.lites, cfg)
-			cluster.ReleaseLites(j.lites)
 			if err != nil {
 				analysisErr = err
 				return
@@ -413,7 +411,7 @@ func AnalyzeTrace(r *trace.Reader, cfg Config) (*TraceResult, error) {
 				return false
 			}
 		}
-		lites = cluster.AcquireLites()
+		lites = make([]cluster.Lite, 0, len(j.lites))
 		return true
 	}
 	var s session.Session

@@ -553,14 +553,16 @@ type SeedStability struct {
 }
 
 // StabilityAcrossSeeds runs seeds reduced suites (72 epochs, reduced
-// volume) and aggregates Table 1 critical coverage.
+// volume), drawn from the suite's own seed onward, and aggregates Table 1
+// critical coverage. A spread needs at least two seeds.
 func (s *Suite) StabilityAcrossSeeds(w io.Writer, seeds int) (SeedStability, error) {
-	if seeds < 2 {
-		seeds = 2
-	}
 	out := SeedStability{Seeds: seeds}
+	if seeds < 2 {
+		return out, fmt.Errorf("experiments: stability needs at least 2 seeds, got %d", seeds)
+	}
 	var samples [metric.NumMetrics][]float64
-	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+	first := s.Gen.Config().Seed
+	for seed := first; seed < first+uint64(seeds); seed++ {
 		genCfg := s.Gen.Config()
 		genCfg.Seed = seed
 		genCfg.Trace = epoch.Range{Start: 0, End: 72}

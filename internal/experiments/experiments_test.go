@@ -460,6 +460,10 @@ func TestCriticalTemporalStats(t *testing.T) {
 	}
 }
 
+// TestStabilityAcrossSeeds checks the spread on the shared suite, then that
+// the reduced runs start at the suite's own seed: suites of different seeds
+// must report different tables. That pair runs on low-volume generators
+// alone, since StabilityAcrossSeeds reads nothing else of the suite.
 func TestStabilityAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed stability is slow; skipped with -short")
@@ -478,6 +482,28 @@ func TestStabilityAcrossSeeds(t *testing.T) {
 		if out.StdCoverage[m] > 0.25 {
 			t.Errorf("%v: coverage wildly unstable across seeds (std %v)", m, out.StdCoverage[m])
 		}
+	}
+	if _, err := s.StabilityAcrossSeeds(nil, 1); err == nil {
+		t.Error("one seed accepted")
+	}
+
+	small := func(seed uint64) SeedStability {
+		t.Helper()
+		genCfg := synth.DefaultConfig()
+		genCfg.Seed = seed
+		genCfg.SessionsPerEpoch = 200
+		g, err := synth.New(genCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&Suite{Gen: g}).StabilityAcrossSeeds(nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if small(1) == small(3) {
+		t.Error("a seed-3 suite reports the seed-1 stability table")
 	}
 }
 

@@ -21,7 +21,6 @@ package hhh
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -92,8 +91,8 @@ type hslot struct {
 	next  int32
 }
 
-// scratch holds every per-Detect buffer so repeated detections (one per
-// metric per epoch) reuse capacity instead of re-allocating ~14k objects.
+// scratch holds every per-Detect buffer. Each Detect call owns one, and
+// its passes (one per subset size) reuse the capacity.
 type scratch struct {
 	idx       []int32 // problem-session indices into the lites slice
 	claimed   []bool  // per idx entry: claimed by a finer hitter
@@ -102,19 +101,6 @@ type scratch struct {
 	maxUsed   int     // grow threshold: 75% load
 	positions []int32 // per-key position segments, carved by prefix sum
 	cands     []int32 // slot indices of threshold-crossing candidates
-}
-
-var scratchPool sync.Pool
-
-func acquireScratch() *scratch {
-	if p, ok := scratchPool.Get().(*scratch); ok {
-		return p
-	}
-	return &scratch{}
-}
-
-func releaseScratch(sc *scratch) {
-	scratchPool.Put(sc)
 }
 
 // resetTable clears the occupied slots (keeping capacity) and sizes the
@@ -207,9 +193,7 @@ func Detect(sessions []cluster.Lite, m metric.Metric, cfg Config) (*Result, erro
 		return nil, err
 	}
 	maxDims := normDims(cfg.MaxDims)
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-
+	sc := &scratch{}
 	res := detectDiscounted(sessions, m, maxDims, cfg.Phi, sc)
 	if len(res.Hitters) > 0 {
 		// Raw (undiscounted) problem-session counts per key, aggregated once
@@ -252,9 +236,7 @@ func DetectFromTable(tbl *cluster.Table, m metric.Metric, cfg Config) (*Result, 
 	if maxDims > tbl.MaxDims {
 		return nil, fmt.Errorf("hhh: MaxDims %d exceeds the table's %d", maxDims, tbl.MaxDims)
 	}
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-
+	sc := &scratch{}
 	res := detectDiscounted(tbl.Sessions, m, maxDims, cfg.Phi, sc)
 	for i := range res.Hitters {
 		res.Hitters[i].Raw = int(tbl.Get(res.Hitters[i].Key).Problems[m])

@@ -63,7 +63,8 @@ type AggregatorConfig struct {
 	Analysis core.Config
 	// ExpectNodes is the fleet size for coverage judgments (0 = unknown).
 	ExpectNodes int
-	// MinEpochSessions feeds the detector's starvation gate.
+	// MinEpochSessions marks an epoch with fewer sessions Starved: it is
+	// frozen, not analysed (0 disables the gate).
 	MinEpochSessions int
 	// OnSeal observes every sealed epoch (nil ignores). Called in seal
 	// order with the coverage record and the analysis result (nil when the
@@ -82,19 +83,21 @@ type nodeState struct {
 	restarts    int
 }
 
-// nodePartial is one node's contribution to one open epoch: its partial
-// count table plus the session digests backing it, kept per node so the
-// merged table can be assembled in a canonical (sorted node ID) order.
-type nodePartial struct {
-	ck    *cktable.Table
-	ids   []uint64
-	lites []cluster.Lite
+// idLite is one merged session: its ID, which fixes the canonical session
+// order at seal, and its digest.
+type idLite struct {
+	id uint64
+	l  cluster.Lite
 }
 
-// epochState is one open (unsealed) epoch.
+// epochState is one open (unsealed) epoch. Its count table is the same
+// whichever node delivered each session, so there is one per epoch.
 type epochState struct {
 	seen     map[uint64]struct{} // session IDs merged (dedup across re-delivery)
-	nodes    map[uint64]*nodePartial
+	ck       *cktable.Table
+	root     cluster.Counts
+	lites    []idLite
+	nodes    map[uint64]struct{} // nodes that contributed a session
 	dups     int
 	restarts int
 }
@@ -102,12 +105,11 @@ type epochState struct {
 // Aggregator is the central merge point of the ingestion tier. Relay nodes
 // stream assembled session records (KindSession) and loss counters
 // (KindStatus) over acked heartbeat connections; the aggregator folds each
-// session into its epoch's per-node partial count table, deduplicating
-// re-deliveries, and on Seal merges the partials, analyses the epoch, and
-// feeds the result — with its Coverage stamp — to an online detector that
-// freezes alert streaks across degraded epochs.
+// session into its epoch's count table, deduplicating re-deliveries, and on
+// Seal analyses that table and feeds the result — with its Coverage stamp —
+// to an online detector that freezes alert streaks across degraded epochs.
 //
-// Late, duplicate, and reordered partials are tolerated idempotently: a
+// Late, duplicate, and reordered sessions are tolerated idempotently: a
 // session re-sent after an ack was lost, or replayed from a recovered disk
 // segment, merges exactly once; a session arriving for an already-sealed
 // epoch is counted and dropped.
@@ -125,6 +127,9 @@ type Aggregator struct {
 	coverages     []Coverage
 	sealedAny     bool
 	sealedThrough epoch.Index
+	// lastSessions sizes each new epoch's table like the last sealed one,
+	// so a table the pool no longer holds is allocated once, not grown.
+	lastSessions int
 
 	srv          *heartbeat.Server
 	lateSessions atomic.Int64
@@ -143,8 +148,8 @@ type AggStats struct {
 // NewAggregator builds an aggregator; the detector is wired to cfg.Emit.
 func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	// Resolve the all-dimensions default once, as cluster.NewTable does:
-	// the partial tables below go straight to cktable.Acquire, which reads
-	// 0 as one dimension.
+	// the epoch tables below go straight to cktable.Acquire, which reads 0
+	// as one dimension.
 	if cfg.Analysis.MaxDims <= 0 || cfg.Analysis.MaxDims > attr.NumDims {
 		cfg.Analysis.MaxDims = attr.NumDims
 	}
@@ -156,7 +161,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	det.MinEpochSessions = cfg.MinEpochSessions
 	a := &Aggregator{
 		cfg:      cfg,
 		det:      det,
@@ -221,10 +225,10 @@ func (a *Aggregator) updateStatus(nodeID uint64, st [4]uint64) {
 	}
 }
 
-// Ingest merges one assembled session from a node into its epoch's partial
-// state. Idempotent: duplicates (lost-ack retries, recovered-segment
-// replays) and late arrivals (epoch already sealed) are counted and
-// dropped, never double-merged.
+// Ingest merges one assembled session from a node into its epoch's state.
+// Idempotent: duplicates (lost-ack retries, recovered-segment replays) and
+// late arrivals (epoch already sealed) are counted and dropped, never
+// double-merged.
 func (a *Aggregator) Ingest(nodeID uint64, s *session.Session) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -237,7 +241,8 @@ func (a *Aggregator) Ingest(nodeID uint64, s *session.Session) {
 	if es == nil {
 		es = &epochState{
 			seen:  make(map[uint64]struct{}),
-			nodes: make(map[uint64]*nodePartial),
+			ck:    cktable.Acquire(a.lastSessions, a.cfg.Analysis.MaxDims),
+			nodes: make(map[uint64]struct{}),
 		}
 		a.partials[e] = es
 	}
@@ -247,15 +252,11 @@ func (a *Aggregator) Ingest(nodeID uint64, s *session.Session) {
 		return
 	}
 	es.seen[s.ID] = struct{}{}
-	pn := es.nodes[nodeID]
-	if pn == nil {
-		pn = &nodePartial{ck: cktable.Acquire(64, a.cfg.Analysis.MaxDims)}
-		es.nodes[nodeID] = pn
-	}
+	es.nodes[nodeID] = struct{}{}
 	l := cluster.Digest(s, a.cfg.Analysis.Thresholds)
-	pn.ck.AddSession(l.Attrs, l.Bits, l.Failed)
-	pn.ids = append(pn.ids, s.ID)
-	pn.lites = append(pn.lites, l)
+	es.ck.AddSession(l.Attrs, l.Bits, l.Failed)
+	es.root.Add(l.Bits, l.Failed)
+	es.lites = append(es.lites, idLite{s.ID, l})
 }
 
 // EpochSessions reports how many unique sessions an open epoch has merged
@@ -293,10 +294,9 @@ func (a *Aggregator) Coverages() []Coverage {
 	return out
 }
 
-// Seal closes one epoch: merges its per-node partial tables (sorted node
-// order, so the merged table is independent of arrival interleaving),
-// analyses the merged table, stamps a Coverage record, and feeds the
-// detector. Epochs must seal in ascending order.
+// Seal closes one epoch: analyses its count table (sessions in ID order,
+// so the result is independent of arrival interleaving), stamps a Coverage
+// record, and feeds the detector. Epochs must seal in ascending order.
 func (a *Aggregator) Seal(e epoch.Index) (Coverage, *core.EpochResult, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -398,43 +398,16 @@ func (a *Aggregator) sealLocked(e epoch.Index) (Coverage, *core.EpochResult, err
 	cov.Starved = a.cfg.MinEpochSessions > 0 && cov.Sessions < a.cfg.MinEpochSessions
 
 	if es != nil && cov.Sessions > 0 && !cov.Degraded && !cov.Starved {
-		// Merge per-node partials in sorted node-ID order so the merged
-		// table — and the float attribution order below — is a pure
-		// function of the session set, not of network interleaving.
-		nodeIDs := make([]uint64, 0, len(es.nodes))
-		total := 0
-		for id, pn := range es.nodes {
-			nodeIDs = append(nodeIDs, id)
-			total += len(pn.lites)
-		}
-		sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
-		//vqlint:ignore-start poolrelease ownership of merged passes to the Table AssembleTable builds; tbl.Release frees it on every subsequent path
-		merged := cktable.Acquire(total, a.cfg.Analysis.MaxDims)
-		type idLite struct {
-			id uint64
-			l  cluster.Lite
-		}
-		all := make([]idLite, 0, total)
-		for _, id := range nodeIDs {
-			pn := es.nodes[id]
-			merged.Merge(pn.ck)
-			pn.ck.Release()
-			for i := range pn.ids {
-				all = append(all, idLite{pn.ids[i], pn.lites[i]})
-			}
-		}
 		// Canonical session order: by session ID. The per-metric view
 		// passes sum float ratios across sessions; a fixed order makes the
-		// merged path bit-identical to a single-collector build fed the
-		// same order.
-		sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-		lites := make([]cluster.Lite, len(all))
-		var root cluster.Counts
-		for i := range all {
-			lites[i] = all[i].l
-			root.Add(all[i].l.Bits, all[i].l.Failed)
+		// result bit-identical to a single-collector build fed the same
+		// order.
+		sort.Slice(es.lites, func(i, j int) bool { return es.lites[i].id < es.lites[j].id })
+		lites := make([]cluster.Lite, len(es.lites))
+		for i := range es.lites {
+			lites[i] = es.lites[i].l
 		}
-		tbl := cluster.AssembleTable(e, lites, a.cfg.Analysis.MaxDims, merged, root)
+		tbl := cluster.AssembleTable(e, lites, a.cfg.Analysis.MaxDims, es.ck, es.root)
 		r, err := core.AnalyzeEpochTable(tbl, a.cfg.Analysis)
 		tbl.Release()
 		if err != nil {
@@ -442,24 +415,22 @@ func (a *Aggregator) sealLocked(e epoch.Index) (Coverage, *core.EpochResult, err
 		}
 		res = r
 	} else if es != nil {
-		// Degraded or starved: the partial tables are discarded unanalysed;
-		// the detector freezes rather than acting on a biased sample.
-		for _, pn := range es.nodes {
-			pn.ck.Release()
-		}
+		// Degraded or starved: the table is discarded unanalysed; the
+		// detector freezes rather than acting on a biased sample.
+		es.ck.Release()
 	}
 
-	if err := a.det.ObserveResult(e, res, cov.Sessions, cov.Degraded); err != nil {
+	if err := a.det.ObserveResult(e, res); err != nil {
 		return cov, nil, fmt.Errorf("ingest: seal epoch %d: %w", e, err)
 	}
 	a.sealedAny = true
 	a.sealedThrough = e
+	a.lastSessions = cov.Sessions
 	a.coverages = append(a.coverages, cov)
 	if a.cfg.OnSeal != nil {
 		a.cfg.OnSeal(cov, res)
 	}
 	return cov, res, nil
-	//vqlint:ignore-end
 }
 
 // newConn returns the Handler for one relay connection. Protocol: the

@@ -28,10 +28,11 @@ func testAnalysis(sessionsPerEpoch int) core.Config {
 
 // TestAggregatorMatchesSingleCollectorPath is the distribution-transparency
 // guarantee: sessions scattered across three nodes and ingested in a
-// scrambled interleaving must analyse byte-identically to the same epoch
-// built by one collector. The aggregator earns this by merging per-node
-// tables in sorted node order and fixing the session order by ID before
-// the float passes run.
+// scrambled interleaving, or in the reverse of it, must analyse
+// byte-identically to the same epoch built by one collector. The aggregator
+// earns this by counting every session into one table per epoch, whatever
+// node delivered it, and by fixing the session order by ID before the float
+// passes run.
 func TestAggregatorMatchesSingleCollectorPath(t *testing.T) {
 	const n = 150
 	cfg := testAnalysis(n)
@@ -45,40 +46,6 @@ func TestAggregatorMatchesSingleCollectorPath(t *testing.T) {
 	sessions := make([]session.Session, n)
 	for i := range sessions {
 		sessions[i] = mkSession(uint64(i+1), 0)
-	}
-	// Scramble arrival: stride through the list so node streams interleave
-	// and no node's sessions arrive contiguously.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = (i * 67) % n
-	}
-
-	agg, err := NewAggregator(AggregatorConfig{Analysis: cfg, ExpectNodes: 3, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perNode := make(map[uint64]int)
-	for _, i := range order {
-		owner, ok := ring.Owner(sessions[i].ID)
-		if !ok {
-			t.Fatal("ring empty")
-		}
-		id := nodeIDs[owner]
-		perNode[id]++
-		agg.Ingest(id, &sessions[i])
-	}
-	if len(perNode) != 3 {
-		t.Fatalf("ring routed to %d nodes, want 3 (%v)", len(perNode), perNode)
-	}
-	cov, res, err := agg.Seal(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.Degraded || cov.Starved {
-		t.Fatalf("healthy epoch stamped %+v", cov)
-	}
-	if cov.Sessions != n || cov.NodesReporting != 3 {
-		t.Fatalf("coverage %+v, want %d sessions over 3 nodes", cov, n)
 	}
 
 	// Single-collector baseline: same sessions, canonical (ID-sorted)
@@ -94,13 +61,55 @@ func TestAggregatorMatchesSingleCollectorPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, want) {
-		t.Fatalf("distributed result differs from single-collector result:\n got %+v\nwant %+v", res, want)
-	}
-	gotJSON, _ := json.Marshal(res)
 	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("serialized results differ:\n got %s\nwant %s", gotJSON, wantJSON)
+
+	// Scramble arrival: stride through the list so node streams interleave
+	// and no node's sessions arrive contiguously; then the same in reverse.
+	scrambled := make([]int, n)
+	reversed := make([]int, n)
+	for i := range scrambled {
+		scrambled[i] = (i * 67) % n
+		reversed[n-1-i] = scrambled[i]
+	}
+	for _, arrival := range []struct {
+		name  string
+		order []int
+	}{{"scrambled", scrambled}, {"reversed", reversed}} {
+		name, order := arrival.name, arrival.order
+		agg, err := NewAggregator(AggregatorConfig{Analysis: cfg, ExpectNodes: 3, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perNode := make(map[uint64]int)
+		for _, i := range order {
+			owner, ok := ring.Owner(sessions[i].ID)
+			if !ok {
+				t.Fatal("ring empty")
+			}
+			id := nodeIDs[owner]
+			perNode[id]++
+			agg.Ingest(id, &sessions[i])
+		}
+		if len(perNode) != 3 {
+			t.Fatalf("%s: ring routed to %d nodes, want 3 (%v)", name, len(perNode), perNode)
+		}
+		cov, res, err := agg.Seal(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cov.Degraded || cov.Starved {
+			t.Fatalf("%s: healthy epoch stamped %+v", name, cov)
+		}
+		if cov.Sessions != n || cov.NodesReporting != 3 {
+			t.Fatalf("%s: coverage %+v, want %d sessions over 3 nodes", name, cov, n)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: distributed result differs from single-collector result:\n got %+v\nwant %+v", name, res, want)
+		}
+		gotJSON, _ := json.Marshal(res)
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("%s: serialized results differ:\n got %s\nwant %s", name, gotJSON, wantJSON)
+		}
 	}
 }
 

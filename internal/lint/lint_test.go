@@ -1360,7 +1360,8 @@ func TestByName(t *testing.T) {
 // TestSelfCheck runs every analyzer over the repository itself and demands
 // zero findings: the tree must stay vqlint-clean, and any new finding must
 // be fixed or explicitly suppressed with a rationale. Its "exports" subtest
-// checks the same load for exported code that only tests call.
+// checks the same load for exported code that only tests call, and its
+// "wallclock-allowlist" subtest for allowlist entries that name nothing.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository")
@@ -1375,6 +1376,33 @@ func TestSelfCheck(t *testing.T) {
 	}
 	// The same load pins the exported surface of internal/ to its callers.
 	t.Run("exports", func(t *testing.T) { checkExportsUsed(t, pkgs) })
+	t.Run("wallclock-allowlist", func(t *testing.T) { checkWallClockAllowDeclared(t, pkgs) })
+}
+
+// checkWallClockAllowDeclared fails on every wallclock allowlist entry of a
+// repro/... package that names no function or method declared there: a
+// stale entry would silently excuse whatever later takes its name.
+func checkWallClockAllowDeclared(t *testing.T, pkgs []*Package) {
+	declared := make(map[string]bool)
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					declared[p.Path+" "+wallClockName(fd)] = true
+				}
+			}
+		}
+	}
+	for path, names := range wallClockAllow {
+		if !strings.HasPrefix(path, "repro/") {
+			continue
+		}
+		for _, name := range names {
+			if !declared[path+" "+name] {
+				t.Errorf("wallclock allowlist entry %s %q names no declared function", path, name)
+			}
+		}
+	}
 }
 
 // TestLoadSharesModulePackages pins the loader's contract: an in-module

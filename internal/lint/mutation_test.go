@@ -103,13 +103,13 @@ func TestDeterminismMutationKill(t *testing.T) {
 		wantMsg string
 	}{
 		{
-			name:    "delete the node-order sort in Aggregator.sealLocked",
+			name:    "delete the epoch sort in Aggregator.OpenEpochs",
 			pattern: "./internal/ingest",
 			rule:    "detorder",
 			mutate: func(pkg *Package) bool {
-				return deleteStmt(pkg, "Aggregator", "sealLocked", isSortSliceOf("nodeIDs"))
+				return deleteStmt(pkg, "Aggregator", "OpenEpochs", isSortSliceOf("out"))
 			},
-			wantMsg: "nodeIDs accumulates map keys in map order",
+			wantMsg: "out accumulates map keys in map order",
 		},
 		{
 			name:    "delete the ProblemKeys sort in core summarize",

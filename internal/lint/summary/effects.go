@@ -371,7 +371,6 @@ func (set *Set) computeOne(n *callgraph.Node, inSCC map[*types.Func]bool, optimi
 
 	set.computeTermination(fc, g, sum)
 	set.computeError(fc, sum)
-	set.computeMayFacts(fc, sum)
 	set.computeOrderFacts(fc, sum)
 	return sum
 }

@@ -192,113 +192,9 @@ func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
-// computeMayFacts fills the may-facts: Spawns (a goroutine may start) and
-// MayBlock (a channel op or Wait may block the caller). Both union through
-// synchronous in-package calls; sites inside stored literals count for
-// Spawns (the literal may run) but not for MayBlock (the caller does not
-// block when the literal is merely built).
-func (set *Set) computeMayFacts(fc *funcCtx, sum *Summary) {
-	for _, site := range fc.node.Sites {
-		if site.Mode == callgraph.Go {
-			sum.Spawns = true
-			continue
-		}
-		calleeSum, _ := fc.calleeSummary(site.Callee)
-		if calleeSum == nil {
-			continue
-		}
-		if calleeSum.Spawns {
-			sum.Spawns = true
-		}
-		if calleeSum.MayBlock && !site.InLiteral {
-			sum.MayBlock = true
-		}
-	}
-	if sum.MayBlock {
-		return
-	}
-	// Comm statements of a select WITH a default never block — the default
-	// fires instead. Collect them so the scan can skip them.
-	nonBlockingComm := make(map[ast.Stmt]bool)
-	walkBodyStmts(fc.node.Decl.Body, func(n ast.Node) {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return
-		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			return
-		}
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-				nonBlockingComm[cc.Comm] = true
-			}
-		}
-	})
-	ast.Inspect(fc.node.Decl.Body, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if stmt, ok := m.(ast.Stmt); ok && nonBlockingComm[stmt] {
-			// The comm op itself cannot block, but a Wait nested in its
-			// operand expression still can — scan just for those.
-			ast.Inspect(m, func(inner ast.Node) bool {
-				if _, ok := inner.(*ast.FuncLit); ok {
-					return false
-				}
-				if call, ok := inner.(*ast.CallExpr); ok {
-					if _, op, _, isWg := fc.wgOp(call); isWg && op == "Wait" {
-						sum.MayBlock = true
-					}
-				}
-				return true
-			})
-			return false
-		}
-		switch m := m.(type) {
-		case *ast.SendStmt:
-			sum.MayBlock = true
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW {
-				sum.MayBlock = true
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range m.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				sum.MayBlock = true
-			}
-		case *ast.RangeStmt:
-			if t := fc.info.TypeOf(m.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					sum.MayBlock = true
-				}
-			}
-		case *ast.CallExpr:
-			if _, op, _, isWg := fc.wgOp(m); isWg && op == "Wait" {
-				sum.MayBlock = true
-			}
-		}
-		return true
-	})
-}
-
-// walkBodyStmts walks a function body skipping nested function literals
-// that are not immediately part of the function's own execution: stored
-// literals are separate functions. Deferred and spawned literal bodies ARE
-// walked — a blocking op in `go func(){...}()` does not block the caller,
-// but that distinction is handled by the callers of this helper needing it;
-// for Spawns/MayBlock the sites loop above already covers modes, and the
-// syntactic scan here deliberately skips ALL literals for that reason.
+// walkBodyStmts walks a function body, skipping every nested function
+// literal: a literal, stored, deferred or spawned, is a separate function
+// whose effects reach the caller only through its call sites.
 func walkBodyStmts(body *ast.BlockStmt, fn func(ast.Node)) {
 	ast.Inspect(body, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {

@@ -84,7 +84,7 @@ func IsEmissionCall(info *types.Info, call *ast.CallExpr) bool {
 // or synchronously calls an in-package function that does. Sites inside
 // stored literals do not count (the caller's loop does not run them), and
 // spawned callees emit asynchronously — their output order is not the
-// caller's call order — matching the conventions of computeMayFacts.
+// caller's call order.
 func (set *Set) computeOrderFacts(fc *funcCtx, sum *Summary) {
 	walkBodyStmts(fc.node.Decl.Body, func(n ast.Node) {
 		switch n := n.(type) {

@@ -83,11 +83,6 @@ type Summary struct {
 	// channel operation — a busy loop or select{} that nothing external can
 	// ever signal. The goleak analyzer's flag condition for spawned callees.
 	StuckNoComm bool
-	// Spawns: may start a goroutine (directly or via a callee). May-fact.
-	Spawns bool
-	// MayBlock: may block on a channel operation or WaitGroup.Wait
-	// (directly or via a synchronous callee). May-fact.
-	MayBlock bool
 	// OrderSensitive: each call may emit order-sensitive output — a write to
 	// an io.Writer or hash (Write*), fmt printing, a report-builder row, or a
 	// floating-point accumulation into state that outlives the call
@@ -209,7 +204,7 @@ func summariesEqual(a, b *Summary) bool {
 		len(a.MutexDelta) != len(b.MutexDelta) || len(a.WgDelta) != len(b.WgDelta) ||
 		len(a.EstablishesOrder) != len(b.EstablishesOrder) ||
 		a.Error != b.Error || a.NeverTerminates != b.NeverTerminates ||
-		a.StuckNoComm != b.StuckNoComm || a.Spawns != b.Spawns || a.MayBlock != b.MayBlock ||
+		a.StuckNoComm != b.StuckNoComm ||
 		a.OrderSensitive != b.OrderSensitive {
 		return false
 	}

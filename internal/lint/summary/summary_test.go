@@ -272,6 +272,7 @@ func drain(ch chan int) {
 func blockForever() {
 	select {}
 }
+func pure(a, b int) int { return a + b }
 `)
 	for _, name := range []string{"spin", "wrapper", "blockForever"} {
 		s := sum(name)
@@ -290,43 +291,8 @@ func blockForever() {
 	if d.NeverTerminates || d.StuckNoComm {
 		t.Error("drain: range over channel terminates on close")
 	}
-}
-
-func TestSpawnsAndMayBlock(t *testing.T) {
-	_, sum := compute(t, `package fix
-import "sync"
-func worker(ch chan int) {
-	for range ch {
-	}
-}
-func spawner(ch chan int) {
-	go worker(ch)
-}
-func indirectSpawner(ch chan int) { spawner(ch) }
-func sender(ch chan int, v int) { ch <- v }
-func waiter(wg *sync.WaitGroup) { wg.Wait() }
-func nonBlocking(ch chan int) int {
-	select {
-	case v := <-ch:
-		return v
-	default:
-		return 0
-	}
-}
-func pure(a, b int) int { return a + b }
-`)
-	if !sum("spawner").Spawns || !sum("indirectSpawner").Spawns {
-		t.Error("Spawns must propagate through synchronous callees")
-	}
-	if !sum("sender").MayBlock || !sum("waiter").MayBlock {
-		t.Error("send/Wait must set MayBlock")
-	}
-	s := sum("nonBlocking")
-	if s.MayBlock {
-		t.Error("select with default is non-blocking")
-	}
 	p := sum("pure")
-	if p.Spawns || p.MayBlock || len(p.Releases)+len(p.Closes)+len(p.MutexDelta)+len(p.WgDelta) != 0 {
+	if p.NeverTerminates || p.StuckNoComm || len(p.Releases)+len(p.Closes)+len(p.MutexDelta)+len(p.WgDelta) != 0 {
 		t.Error("pure function must have an empty summary")
 	}
 }

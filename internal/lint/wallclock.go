@@ -52,10 +52,7 @@ var wallClockCone = map[string]bool{
 // backoff are wall-clock-bound by design and sit outside the merge path.
 var wallClockAllow = map[string][]string{
 	"repro/internal/ingest": {
-		// Connection read deadlines, the accept loop that spawns them, and
-		// the Listen entry point that starts it.
-		"Aggregator.serveConn",
-		"Aggregator.acceptLoop",
+		// The Listen entry point that starts the heartbeat server.
 		"Aggregator.Listen",
 		// Graceful-drain timeouts.
 		"Aggregator.CloseGrace",

@@ -69,10 +69,25 @@ func (a Alert) Actionable() bool {
 	return a.Kind == AlertContinuing && a.StreakHours >= 2
 }
 
-// Detector consumes an epoch-ordered session stream.
+// mode is the entry point a detector was fixed to by its first call.
+type mode uint8
+
+const (
+	modeUnset     mode = iota
+	modeAdd            // sessions through Add
+	modeStreaming      // sessions through Streaming and AddAt
+	modeResults        // analysed epochs through ObserveResult
+)
+
+var modeNames = [...]string{"", "Add", "Streaming", "ObserveResult"}
+
+// Detector consumes an epoch-ordered session stream, or the results of
+// epochs analysed elsewhere. Every entry point ends an epoch in observe,
+// and every streak, epoch or tick, advances by the one rule in step.
 type Detector struct {
 	cfg  core.Config
 	emit func(Alert)
+	mode mode
 
 	cur     epoch.Index
 	started bool
@@ -85,20 +100,20 @@ type Detector struct {
 	wcfg     window.Config
 	tickEmit func(TickAlert)
 
-	// MinEpochSessions gates epoch evaluation: an epoch closing with fewer
-	// sessions is treated as an ingestion gap (collector restart, shed
-	// load), not as ground truth. Gap epochs emit no alerts and freeze
-	// streak state — an outage spanning a gap neither resolves spuriously
-	// nor restarts its streak from zero. Zero disables the gate.
+	// MinEpochSessions gates epoch evaluation on the session-fed paths (Add
+	// and AddAt): an epoch closing with fewer sessions is treated as an
+	// ingestion gap (collector restart, shed load), not as ground truth.
+	// ObserveResult's caller makes that call itself and passes a nil
+	// result. Zero disables the gate.
 	MinEpochSessions int
 
 	streaks     [metric.NumMetrics]map[attr.Key]int
 	tickStreaks [metric.NumMetrics]map[attr.Key]int
 
 	// Epochs counts completed epochs; Alerts counts emissions; GapEpochs
-	// counts the subset of epochs skipped by the MinEpochSessions gate.
-	// Ticks and TickAlerts count the streaming mode's sealed sub-buckets
-	// and tick-level emissions.
+	// counts the subset of epochs frozen as ingestion gaps. Ticks and
+	// TickAlerts count the streaming mode's sealed sub-buckets and
+	// tick-level emissions.
 	Epochs     int
 	Alerts     int
 	GapEpochs  int
@@ -119,11 +134,31 @@ func NewDetector(cfg core.Config, emit func(Alert)) (*Detector, error) {
 	return d, nil
 }
 
+// enter fixes the detector to mode m on its first call and rejects any
+// other mode afterwards.
+func (d *Detector) enter(m mode) error {
+	if d.mode == modeUnset {
+		d.mode = m
+	}
+	if d.mode != m {
+		return fmt.Errorf("online: %s cannot mix with %s", modeNames[m], modeNames[d.mode])
+	}
+	return nil
+}
+
+// starved reports whether an epoch of n sessions is too small to trust.
+// Evaluating it — emitting "resolved" off a starved epoch — would report a
+// measurement artifact, exactly the failure mode the fault-tolerant
+// ingestion path is built to avoid.
+func (d *Detector) starved(n int) bool {
+	return d.MinEpochSessions > 0 && n < d.MinEpochSessions
+}
+
 // Add consumes one session. Sessions must arrive in non-decreasing epoch
 // order; a new epoch closes and evaluates the previous one.
 func (d *Detector) Add(s *session.Session) error {
-	if d.win != nil {
-		return fmt.Errorf("online: Add cannot mix with Streaming mode (use AddAt)")
+	if err := d.enter(modeAdd); err != nil {
+		return err
 	}
 	if d.started && s.Epoch < d.cur {
 		return fmt.Errorf("online: session for epoch %d after epoch %d", s.Epoch, d.cur)
@@ -166,82 +201,80 @@ func (d *Detector) Flush() error {
 	return nil
 }
 
+// closeEpoch analyses the buffered epoch, unless it is starved, and
+// observes it.
 func (d *Detector) closeEpoch() error {
-	err := d.evalEpoch(d.cur, d.buf)
-	d.buf = d.buf[:0]
-	return err
-}
-
-// evalEpoch runs the gate, analysis, and alerting for one completed epoch.
-func (d *Detector) evalEpoch(e epoch.Index, lites []cluster.Lite) error {
-	if d.MinEpochSessions > 0 && len(lites) < d.MinEpochSessions {
-		// Degraded epoch: too few sessions to trust. Skip evaluation
-		// entirely — emitting "resolved" off a starved epoch would be a
-		// measurement artifact, exactly the failure mode the fault-tolerant
-		// ingestion path is built to avoid.
-		d.Epochs++
-		d.GapEpochs++
-		return nil
+	var res *core.EpochResult
+	var err error
+	if !d.starved(len(d.buf)) {
+		res, err = core.AnalyzeEpoch(d.cur, d.buf, d.cfg)
 	}
-	res, err := core.AnalyzeEpoch(e, lites, d.cfg)
+	d.buf = d.buf[:0]
 	if err != nil {
 		return err
 	}
-	d.Epochs++
-	d.applyResult(e, res)
+	d.observe(d.cur, res)
 	return nil
 }
 
 // ObserveResult feeds the detector one already-analysed epoch — the
 // aggregator's path, where sessions were assembled and analysed centrally
 // and the detector must not re-digest them. Epochs must arrive in strictly
-// increasing order, and the session entry points (Add, Streaming/AddAt)
-// must not be mixed with this one. A degraded epoch (coverage loss) or one
-// below MinEpochSessions freezes streak state exactly like the streaming
-// gate: res may then be nil, no alerts fire, and GapEpochs counts it. A
-// healthy epoch requires res.
-func (d *Detector) ObserveResult(e epoch.Index, res *core.EpochResult, sessions int, degraded bool) error {
-	if len(d.buf) > 0 || d.win != nil {
-		return fmt.Errorf("online: ObserveResult cannot mix with Add or Streaming")
+// increasing order, and no other entry point may be mixed with this one.
+// A nil res marks an epoch the caller froze (degraded coverage, too few
+// sessions): it counts as a gap, fires no alerts and leaves streaks as
+// they were.
+func (d *Detector) ObserveResult(e epoch.Index, res *core.EpochResult) error {
+	if err := d.enter(modeResults); err != nil {
+		return err
 	}
 	if d.started && e <= d.cur {
 		return fmt.Errorf("online: result for epoch %d after epoch %d", e, d.cur)
 	}
-	gated := degraded || (d.MinEpochSessions > 0 && sessions < d.MinEpochSessions)
-	if !gated && res == nil {
-		return fmt.Errorf("online: healthy epoch %d observed without a result", e)
-	}
 	d.started = true
 	d.cur = e
-	d.Epochs++
-	if gated {
-		// Same reasoning as the streaming gate: a starved or
-		// degraded-coverage epoch is an ingestion artifact, not ground
-		// truth. Freeze streaks; never resolve off it.
-		d.GapEpochs++
-		return nil
-	}
-	d.applyResult(e, res)
+	d.observe(e, res)
 	return nil
 }
 
-// applyResult updates streaks and emits this epoch's alerts from an
-// analysis result. Shared verbatim between the streaming path (evalEpoch)
-// and the aggregator path (ObserveResult).
-func (d *Detector) applyResult(e epoch.Index, res *core.EpochResult) {
+// observe ends epoch e for every entry point. A nil res is an ingestion
+// gap: it is counted, and the epoch streaks freeze — an outage spanning a
+// gap neither resolves spuriously nor restarts its streak from zero.
+func (d *Detector) observe(e epoch.Index, res *core.EpochResult) {
+	d.Epochs++
+	if res == nil {
+		d.GapEpochs++
+		return
+	}
+	step(&d.streaks, res, func(m metric.Metric, k attr.Key, kind AlertKind, streak int, cs *core.CriticalSummary) {
+		d.Alerts++
+		if d.emit != nil {
+			d.emit(Alert{
+				Epoch: e, Metric: m, Key: k, Kind: kind, StreakHours: streak,
+				Ratio: cs.Ratio, Sessions: cs.Sessions, AttributedProblems: cs.AttributedProblems,
+			})
+		}
+	})
+}
+
+// step advances one set of streaks by res and fires each change in a
+// deterministic order (metric, then key): New when a key turns critical,
+// Continuing while it stays so, Resolved — with the ended streak's length
+// and a zero cluster snapshot — when it stops.
+func step(streaks *[metric.NumMetrics]map[attr.Key]int, res *core.EpochResult,
+	fire func(m metric.Metric, k attr.Key, kind AlertKind, streak int, cs *core.CriticalSummary)) {
+	var resolved core.CriticalSummary
 	for _, m := range metric.All() {
 		ms := &res.Metrics[m]
 		now := make(map[attr.Key]*core.CriticalSummary, len(ms.Critical))
 		for i := range ms.Critical {
 			now[ms.Critical[i].Key] = &ms.Critical[i]
 		}
-
-		// Deterministic emission order.
-		keys := make([]attr.Key, 0, len(now)+len(d.streaks[m]))
+		keys := make([]attr.Key, 0, len(now)+len(streaks[m]))
 		for k := range now {
 			keys = append(keys, k)
 		}
-		for k := range d.streaks[m] {
+		for k := range streaks[m] {
 			if _, ok := now[k]; !ok {
 				keys = append(keys, k)
 			}
@@ -250,33 +283,18 @@ func (d *Detector) applyResult(e epoch.Index, res *core.EpochResult) {
 
 		for _, k := range keys {
 			cs, active := now[k]
-			prev := d.streaks[m][k]
+			prev := streaks[m][k]
 			switch {
 			case active && prev == 0:
-				d.streaks[m][k] = 1
-				d.send(Alert{
-					Epoch: e, Metric: m, Key: k, Kind: AlertNew, StreakHours: 1,
-					Ratio: cs.Ratio, Sessions: cs.Sessions, AttributedProblems: cs.AttributedProblems,
-				})
+				streaks[m][k] = 1
+				fire(m, k, AlertNew, 1, cs)
 			case active:
-				d.streaks[m][k] = prev + 1
-				d.send(Alert{
-					Epoch: e, Metric: m, Key: k, Kind: AlertContinuing, StreakHours: prev + 1,
-					Ratio: cs.Ratio, Sessions: cs.Sessions, AttributedProblems: cs.AttributedProblems,
-				})
+				streaks[m][k] = prev + 1
+				fire(m, k, AlertContinuing, prev+1, cs)
 			default:
-				delete(d.streaks[m], k)
-				d.send(Alert{
-					Epoch: e, Metric: m, Key: k, Kind: AlertResolved, StreakHours: prev,
-				})
+				delete(streaks[m], k)
+				fire(m, k, AlertResolved, prev, &resolved)
 			}
 		}
-	}
-}
-
-func (d *Detector) send(a Alert) {
-	d.Alerts++
-	if d.emit != nil {
-		d.emit(a)
 	}
 }

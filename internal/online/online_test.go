@@ -303,24 +303,22 @@ func TestObserveResultMatchesStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.MinEpochSessions = 100
 	g2, _, _ := outageGenerator(t)
 	cfg := detectorConfig(2500)
 	err = g2.ForEachEpoch(1, func(e epoch.Index, batch []session.Session) error {
 		if e == gapEpoch {
 			// The aggregator saw shed/lost coverage here: no result at all.
-			return d.ObserveResult(e, nil, len(batch), true)
+			return d.ObserveResult(e, nil)
 		}
-		lites := cluster.AcquireLites()
+		lites := make([]cluster.Lite, len(batch))
 		for i := range batch {
-			lites = append(lites, cluster.Digest(&batch[i], cfg.Thresholds))
+			lites[i] = cluster.Digest(&batch[i], cfg.Thresholds)
 		}
 		res, err := core.AnalyzeEpoch(e, lites, cfg)
-		cluster.ReleaseLites(lites)
 		if err != nil {
 			return err
 		}
-		return d.ObserveResult(e, res, len(batch), false)
+		return d.ObserveResult(e, res)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,33 +342,26 @@ func TestObserveResultMatchesStreaming(t *testing.T) {
 }
 
 // TestObserveResultGuards pins the entry point's misuse errors: mixing with
-// the streaming path, out-of-order epochs, and a healthy epoch without a
-// result.
+// the session paths in either order, and out-of-order epochs.
 func TestObserveResultGuards(t *testing.T) {
 	d, err := NewDetector(detectorConfig(100), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ObserveResult(3, nil, 0, true); err != nil {
+	if err := d.ObserveResult(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ObserveResult(3, nil, 0, true); err == nil {
+	if err := d.ObserveResult(3, nil); err == nil {
 		t.Fatal("replayed epoch accepted")
 	}
-	if err := d.ObserveResult(2, nil, 0, true); err == nil {
+	if err := d.ObserveResult(2, nil); err == nil {
 		t.Fatal("out-of-order epoch accepted")
 	}
-	if err := d.ObserveResult(4, nil, 10_000, false); err == nil {
-		t.Fatal("healthy epoch without a result accepted")
+	if d.GapEpochs != 1 {
+		t.Fatalf("gap epochs = %d, want 1", d.GapEpochs)
 	}
-	// A session count below MinEpochSessions gates even when the caller
-	// says the epoch was not degraded.
-	d.MinEpochSessions = 100
-	if err := d.ObserveResult(5, nil, 50, false); err != nil {
-		t.Fatal(err)
-	}
-	if d.GapEpochs != 2 {
-		t.Fatalf("gap epochs = %d, want 2", d.GapEpochs)
+	if err := d.Add(&session.Session{Epoch: 4, EventIDs: session.NoEvents}); err == nil {
+		t.Fatal("Add accepted after ObserveResult")
 	}
 
 	s, err := NewDetector(detectorConfig(100), nil)
@@ -380,7 +371,7 @@ func TestObserveResultGuards(t *testing.T) {
 	if err := s.Add(&session.Session{Epoch: 1, EventIDs: session.NoEvents}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ObserveResult(2, nil, 0, true); err == nil {
+	if err := s.ObserveResult(2, nil); err == nil {
 		t.Fatal("ObserveResult accepted while streaming sessions are buffered")
 	}
 }

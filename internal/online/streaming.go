@@ -2,7 +2,6 @@ package online
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/attr"
 	"repro/internal/cluster"
@@ -57,10 +56,10 @@ type StreamConfig struct {
 // stream and streak state are then byte-identical to the batch detector fed
 // the same sessions in the same order.
 //
-// Must be called before the first session; it cannot be combined with
-// ObserveResult. Sessions are fed with AddAt, not Add.
+// Must be called once, before the first session; it cannot be combined
+// with Add or ObserveResult. Sessions are fed with AddAt, not Add.
 func (d *Detector) Streaming(cfg StreamConfig) error {
-	if d.started || d.win != nil {
+	if d.mode != modeUnset {
 		return fmt.Errorf("online: Streaming must be configured once, before the first session")
 	}
 	if err := cfg.Window.Validate(); err != nil {
@@ -74,6 +73,7 @@ func (d *Detector) Streaming(cfg StreamConfig) error {
 	if err != nil {
 		return fmt.Errorf("online: %w", err)
 	}
+	d.mode = modeStreaming
 	d.win = eng
 	d.wcfg = cfg.Window
 	d.tickEmit = cfg.TickEmit
@@ -128,73 +128,24 @@ func (d *Detector) evalTick(sealed window.Tick) error {
 		return err
 	}
 	d.Ticks++
-	d.applyTickResult(sealed, res)
-	if d.wcfg.EpochBoundary(sealed) {
-		d.Epochs++
-		if d.MinEpochSessions > 0 && len(snap.Sessions) < d.MinEpochSessions {
-			// Same gate, same semantics as the batch path: a starved epoch
-			// freezes epoch-level streaks (tick-level streaks already
-			// reflect whatever sessions did arrive).
-			d.GapEpochs++
-		} else {
-			d.applyResult(snap.Epoch, res)
+	e := d.wcfg.EpochOf(sealed)
+	step(&d.tickStreaks, res, func(m metric.Metric, k attr.Key, kind AlertKind, streak int, cs *core.CriticalSummary) {
+		d.TickAlerts++
+		if d.tickEmit != nil {
+			d.tickEmit(TickAlert{
+				Tick: sealed, Epoch: e, Metric: m, Key: k, Kind: kind, StreakTicks: streak,
+				Ratio: cs.Ratio, Sessions: cs.Sessions, AttributedProblems: cs.AttributedProblems,
+			})
 		}
+	})
+	if d.wcfg.EpochBoundary(sealed) {
+		// The same gate as the batch path: a starved epoch freezes
+		// epoch-level streaks (tick-level streaks already reflect whatever
+		// sessions did arrive).
+		if d.starved(len(snap.Sessions)) {
+			res = nil
+		}
+		d.observe(snap.Epoch, res)
 	}
 	return nil
-}
-
-// applyTickResult is applyResult's tick-level twin: same deterministic
-// emission order (metric, then key), separate streak state, TickAlert
-// output.
-func (d *Detector) applyTickResult(tk window.Tick, res *core.EpochResult) {
-	e := d.wcfg.EpochOf(tk)
-	for _, m := range metric.All() {
-		ms := &res.Metrics[m]
-		now := make(map[attr.Key]*core.CriticalSummary, len(ms.Critical))
-		for i := range ms.Critical {
-			now[ms.Critical[i].Key] = &ms.Critical[i]
-		}
-
-		keys := make([]attr.Key, 0, len(now)+len(d.tickStreaks[m]))
-		for k := range now {
-			keys = append(keys, k)
-		}
-		for k := range d.tickStreaks[m] {
-			if _, ok := now[k]; !ok {
-				keys = append(keys, k)
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-
-		for _, k := range keys {
-			cs, active := now[k]
-			prev := d.tickStreaks[m][k]
-			switch {
-			case active && prev == 0:
-				d.tickStreaks[m][k] = 1
-				d.sendTick(TickAlert{
-					Tick: tk, Epoch: e, Metric: m, Key: k, Kind: AlertNew, StreakTicks: 1,
-					Ratio: cs.Ratio, Sessions: cs.Sessions, AttributedProblems: cs.AttributedProblems,
-				})
-			case active:
-				d.tickStreaks[m][k] = prev + 1
-				d.sendTick(TickAlert{
-					Tick: tk, Epoch: e, Metric: m, Key: k, Kind: AlertContinuing, StreakTicks: prev + 1,
-					Ratio: cs.Ratio, Sessions: cs.Sessions, AttributedProblems: cs.AttributedProblems,
-				})
-			default:
-				delete(d.tickStreaks[m], k)
-				d.sendTick(TickAlert{
-					Tick: tk, Epoch: e, Metric: m, Key: k, Kind: AlertResolved, StreakTicks: prev,
-				})
-			}
-		}
-	}
-}
-
-func (d *Detector) sendTick(a TickAlert) {
-	d.TickAlerts++
-	if d.tickEmit != nil {
-		d.tickEmit(a)
-	}
 }

@@ -249,7 +249,7 @@ func TestStreamingGuards(t *testing.T) {
 	if err := d.Add(&session.Session{}); err == nil {
 		t.Fatal("Add in streaming mode accepted")
 	}
-	if err := d.ObserveResult(0, nil, 0, true); err == nil {
+	if err := d.ObserveResult(0, nil); err == nil {
 		t.Fatal("ObserveResult in streaming mode accepted")
 	}
 	// Tick/epoch coherence and ordering.
