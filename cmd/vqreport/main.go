@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"time"
 
@@ -29,18 +28,32 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("vqreport: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, renders the selected part of the evaluation to stdout
+// (or -out) and returns the exit code: 0 on success, 2 on a flag error, 1
+// on any other failure. The timing line goes to stderr, so stdout is a pure
+// function of the flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vqreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		epochs    = flag.Int("epochs", epoch.DefaultTraceEpochs, "trace length in one-hour epochs")
-		sessions  = flag.Int("sessions", 4000, "mean sessions per epoch")
-		seed      = flag.Uint64("seed", 1, "universe seed")
-		fig       = flag.Int("fig", 0, "render only this figure (1,2,7,8,9,10,11,12,13)")
-		table     = flag.Int("table", 0, "render only this table (1..5)")
-		ablations = flag.Bool("ablations", false, "render ablations and ground-truth validation only")
-		outPath   = flag.String("out", "", "write to file instead of stdout")
+		epochs    = fs.Int("epochs", epoch.DefaultTraceEpochs, "trace length in one-hour epochs")
+		sessions  = fs.Int("sessions", 4000, "mean sessions per epoch")
+		seed      = fs.Uint64("seed", 1, "universe seed")
+		fig       = fs.Int("fig", 0, "render only this figure (1,2,7,8,9,10,11,12,13)")
+		table     = fs.Int("table", 0, "render only this table (1..5)")
+		ablations = fs.Bool("ablations", false, "render ablations and ground-truth validation only")
+		outPath   = fs.String("out", "", "write to file instead of stdout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		_, _ = fmt.Fprintf(stderr, "vqreport: %v\n", err)
+		return 1
+	}
 
 	genCfg := synth.DefaultConfig()
 	genCfg.Seed = *seed
@@ -51,33 +64,33 @@ func main() {
 	start := time.Now()
 	suite, err := experiments.NewSuite(genCfg, core.DefaultConfig(*sessions))
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "vqreport: generated and analysed %d epochs × ~%d sessions in %v\n",
+	_, _ = fmt.Fprintf(stderr, "vqreport: generated and analysed %d epochs × ~%d sessions in %v\n",
 		*epochs, *sessions, time.Since(start).Round(time.Millisecond))
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		w = f
 	}
-
-	run := func(err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			log.Fatal(err)
-		}
+	if err := render(w, suite, *fig, *table, *ablations); err != nil {
+		return fail(err)
 	}
+	return 0
+}
 
+// render writes the part of the evaluation the flags select: one figure,
+// one table, the ablations, or (by default) everything.
+func render(w io.Writer, suite *experiments.Suite, fig, table int, ablations bool) error {
+	var err error
 	switch {
-	case *fig > 0:
-		switch *fig {
+	case fig > 0:
+		switch fig {
 		case 1:
 			_, err = suite.Fig1(w)
 		case 2:
@@ -97,11 +110,10 @@ func main() {
 		case 13:
 			_, err = suite.Fig13(w)
 		default:
-			log.Fatalf("no figure %d in the paper's evaluation (have 1,2,7-13)", *fig)
+			return fmt.Errorf("no figure %d in the paper's evaluation (have 1,2,7-13)", fig)
 		}
-		run(err)
-	case *table > 0:
-		switch *table {
+	case table > 0:
+		switch table {
 		case 1:
 			_, err = suite.Table1(w)
 		case 2:
@@ -113,24 +125,28 @@ func main() {
 		case 5:
 			_, err = suite.Table5(w)
 		default:
-			log.Fatalf("no table %d (have 1-5)", *table)
+			return fmt.Errorf("no table %d (have 1-5)", table)
 		}
-		run(err)
-	case *ablations:
-		renderAblations(w, suite)
+	case ablations:
+		return renderAblations(w, suite)
 	default:
 		if err := suite.All(w); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		renderAblations(w, suite)
+		return renderAblations(w, suite)
 	}
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w)
+	return err
 }
 
 // stabilitySeeds is the number of reduced datasets the robustness table
 // redraws the generator for.
 const stabilitySeeds = 3
 
-func renderAblations(w io.Writer, suite *experiments.Suite) {
+func renderAblations(w io.Writer, suite *experiments.Suite) error {
 	steps := []func() error{
 		func() error { _, err := suite.Headlines(w); return err },
 		func() error { _, err := suite.Validate(w); return err },
@@ -145,10 +161,11 @@ func renderAblations(w io.Writer, suite *experiments.Suite) {
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
