@@ -1,7 +1,7 @@
 // Command vqaggregate runs the central aggregator of the distributed
 // ingestion tier: vqcollect edge nodes (run with -aggregator) relay
 // assembled sessions and loss counters to it over acknowledged heartbeat
-// links; it merges each node's partial per-epoch count table, stamps every
+// links; it counts every session into its epoch's count table, stamps every
 // sealed epoch with a Coverage record (nodes reporting, duplicates,
 // restarts, shed), and feeds the result to the online critical-cluster
 // detector — degraded or starved epochs freeze alert streaks instead of

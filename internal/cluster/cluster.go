@@ -95,10 +95,11 @@ func NewTable(e epoch.Index, sessions []Lite, maxDims int) *Table {
 	return t
 }
 
-// AssembleTable wraps already-merged engine storage as an epoch count
-// table — the aggregator's path, where per-node partial tables were
-// combined with cktable.Table.Merge and the root counts accumulated
-// alongside, so there is no single local session slice to rebuild from.
+// AssembleTable wraps already-filled engine storage as an epoch count
+// table — the aggregator's path, where each session was counted into its
+// epoch's table on arrival, and the window engine's, where the window total
+// is kept by merging and unmerging per-tick tables. The root counts are
+// accumulated alongside, so there is nothing to rebuild from the sessions.
 // Ownership of ck transfers to the returned table (Release returns it to
 // the pool); sessions is retained for coverage passes exactly as NewTable
 // retains its input, and its order is the order coverage and attribution

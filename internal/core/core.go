@@ -207,9 +207,10 @@ func AnalyzeEpoch(e epoch.Index, lites []cluster.Lite, cfg Config) (*EpochResult
 	return analyzeTable(tbl, cfg, workers)
 }
 
-// AnalyzeEpochTable analyses a pre-built count table — the aggregator's
-// path, where the table was merged from per-node partials (see
-// cluster.AssembleTable) rather than built from one local session slice.
+// AnalyzeEpochTable analyses a pre-built count table — the aggregator's and
+// the window engine's path, where the table was counted session by session
+// as sessions arrived (see cluster.AssembleTable) rather than built from
+// one local session slice.
 // The caller keeps ownership of tbl and releases it. Results are identical
 // to AnalyzeEpoch over the same sessions in the same order: table counts
 // are exact integer sums however they were accumulated, and every float

@@ -1,6 +1,11 @@
 package hhh
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/attr"
@@ -27,7 +32,7 @@ func TestDetectBasics(t *testing.T) {
 	var sessions []cluster.Lite
 	sessions = addCell(sessions, 1, 1, 100, 80)
 	sessions = addCell(sessions, 2, 2, 100, 20)
-	r, err := Detect(sessions, metric.BufRatio, Config{Phi: 0.5})
+	r, err := Detect(sessions, metric.BufRatio, Config{Phi: 0.5, MaxDims: attr.NumDims})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestDiscountingClaimsOnce(t *testing.T) {
 	// report the same sessions again.
 	var sessions []cluster.Lite
 	sessions = addCell(sessions, 1, 1, 100, 100)
-	r, err := Detect(sessions, metric.BufRatio, Config{Phi: 0.5})
+	r, err := Detect(sessions, metric.BufRatio, Config{Phi: 0.5, MaxDims: attr.NumDims})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +153,15 @@ func TestEmptyAndErrors(t *testing.T) {
 	if _, err := Detect(nil, metric.BufRatio, Config{Phi: 1}); err == nil {
 		t.Error("Phi 1 accepted")
 	}
+	for _, cfg := range []Config{
+		{Phi: math.NaN(), MaxDims: attr.NumDims},
+		{Phi: 0.02, MaxDims: 0},
+		{Phi: 0.02, MaxDims: attr.NumDims + 1},
+	} {
+		if _, err := Detect(nil, metric.BufRatio, cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
+	}
 	// Healthy sessions only.
 	var sessions []cluster.Lite
 	sessions = addCell(sessions, 1, 1, 50, 0)
@@ -161,7 +175,7 @@ func TestKeysOrder(t *testing.T) {
 	var sessions []cluster.Lite
 	sessions = addCell(sessions, 1, 1, 100, 60)
 	sessions = addCell(sessions, 2, 2, 100, 40)
-	r, err := Detect(sessions, metric.BufRatio, Config{Phi: 0.3})
+	r, err := Detect(sessions, metric.BufRatio, Config{Phi: 0.3, MaxDims: attr.NumDims})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,4 +185,118 @@ func TestKeysOrder(t *testing.T) {
 		}
 	}
 	_ = key
+}
+
+// genHHHLites draws sessions from a small attribute universe (so keys
+// collide and levels overlap) with a few concentrated problem cells layered
+// over background noise — the shape that exercises claiming and tie-breaks.
+func genHHHLites(r *rand.Rand, n int) []cluster.Lite {
+	cards := [attr.NumDims]int32{3, 4, 2, 3, 2, 3, 4}
+	lites := make([]cluster.Lite, n)
+	for i := range lites {
+		l := &lites[i]
+		for d := attr.Dim(0); d < attr.NumDims; d++ {
+			l.Attrs[d] = r.Int31n(cards[d])
+		}
+		if r.Float64() < 0.05 {
+			l.Failed = true
+			l.Bits = 1 << metric.JoinFailure
+			continue
+		}
+		for m := metric.Metric(0); m < metric.NumMetrics; m++ {
+			if r.Float64() < 0.15 {
+				l.Bits |= 1 << m
+			}
+		}
+	}
+	// Concentrate problems in one cell to guarantee hitters above phi.
+	hot := lites[0].Attrs
+	for i := 0; i < n/5; i++ {
+		l := &lites[r.Intn(n)]
+		l.Attrs = hot
+		l.Failed = false
+		l.Bits |= 1 << metric.BufRatio
+	}
+	return lites
+}
+
+// TestDetectPinned locks Detect's exact output on multi-level inputs: every
+// result over the grid below (seed 77, 8 trials, two metrics, four φ, four
+// MaxDims; hitters at all seven levels) is rendered and hashed with
+// FNV-64a. The constant was recorded from the counting-sort engine that
+// Detect replaced and is unchanged by the plain-map definition, so a change
+// to ordering, tie-breaking or discount semantics fails here.
+func TestDetectPinned(t *testing.T) {
+	const want uint64 = 0x2823841136c34c94
+	r := rand.New(rand.NewSource(77))
+	h := fnv.New64a()
+	for trial := 0; trial < 8; trial++ {
+		lites := genHHHLites(r, 50+r.Intn(900))
+		for _, m := range []metric.Metric{metric.BufRatio, metric.JoinTime} {
+			for _, phi := range []float64{0.01, 0.05, 0.2, 0.6} {
+				for _, md := range []int{1, 2, 3, attr.NumDims} {
+					res, err := Detect(lites, m, Config{Phi: phi, MaxDims: md})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(h, "%d %v %v %d total=%d\n", trial, m, phi, md, res.Total)
+					for _, x := range res.Hitters {
+						fmt.Fprintf(h, "%v %d %d\n", x.Key, x.Discounted, x.Raw)
+					}
+				}
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("output hash %#x, want %#x", got, want)
+	}
+}
+
+// TestDetectFromTableMatchesDetect: detection over an epoch count table's
+// sessions equals Detect over the same sessions, across fuzzed inputs,
+// metrics, phi values, and maxDims (including a table enumerated wider than
+// the query).
+func TestDetectFromTableMatchesDetect(t *testing.T) {
+	r := rand.New(rand.NewSource(271))
+	phis := []float64{0.01, 0.05, 0.3}
+	dims := []int{1, 3, attr.NumDims}
+	for trial := 0; trial < 6; trial++ {
+		n := 50 + r.Intn(700)
+		lites := genHHHLites(r, n)
+		tbl := cluster.NewTable(0, lites, 0)
+		for _, m := range []metric.Metric{metric.BufRatio, metric.JoinTime, metric.JoinFailure} {
+			for _, phi := range phis {
+				for _, md := range dims {
+					cfg := Config{Phi: phi, MaxDims: md}
+					got, err := DetectFromTable(tbl, m, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := Detect(lites, m, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d metric %v phi %v maxDims %d:\ntable %+v\nbatch %+v",
+							trial, m, phi, md, got, want)
+					}
+				}
+			}
+		}
+		tbl.Release()
+	}
+}
+
+// TestDetectFromTableRejectsNarrowTable: querying more dimensions than the
+// table enumerated cannot produce correct raw counts and must error.
+func TestDetectFromTableRejectsNarrowTable(t *testing.T) {
+	lites := genHHHLites(rand.New(rand.NewSource(1)), 50)
+	tbl := cluster.NewTable(0, lites, 2)
+	defer tbl.Release()
+	if _, err := DetectFromTable(tbl, metric.BufRatio, Config{Phi: 0.05, MaxDims: 3}); err == nil {
+		t.Fatal("DetectFromTable over a narrower table did not fail")
+	}
+	if _, err := DetectFromTable(tbl, metric.BufRatio, Config{Phi: 0.05, MaxDims: 2}); err != nil {
+		t.Fatal(err)
+	}
 }

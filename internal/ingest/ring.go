@@ -2,8 +2,8 @@
 // accept player heartbeat connections, each session owned by exactly one
 // node chosen by consistent hash of its session ID, and relay assembled
 // session records over disk-backed spools to a central aggregator that
-// merges per-node partial count tables and stamps every epoch with a
-// coverage record. The paper's analysis assumes every session reaches one
+// counts every session into its epoch's one count table and stamps every
+// epoch with a coverage record. The paper's analysis assumes every session reaches one
 // aggregation point; this tier keeps that true — or, when nodes die
 // mid-epoch, makes the loss explicit so degraded epochs freeze the online
 // detector instead of fabricating quality events.

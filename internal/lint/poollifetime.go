@@ -16,12 +16,11 @@ import (
 // PoolLifetime reports uses of a pooled value after its Release and double
 // releases. PoolRelease proves the obligation side — every acquired value
 // reaches Release; this analyzer proves the other half of the lifetime
-// contract: once a value with a Release method (cktable.Table, the hhh
-// scratch, digest buffers) or a sync.Pool member is released, the current
-// holder must not touch it again — the pool may already have handed it to
-// another goroutine, so a late Merge or Write is a data race the type
-// system cannot see, and a second Release poisons the pool with a
-// double-freed object.
+// contract: once a value with a Release method (cktable.Table,
+// cluster.Table) or a sync.Pool member is released, the current holder must
+// not touch it again — the pool may already have handed it to another
+// goroutine, so a late Merge or Write is a data race the type system cannot
+// see, and a second Release poisons the pool with a double-freed object.
 //
 // The analysis is a forward may-released problem over the CFG, keyed by
 // expression rendering rather than by object so element lifetimes like

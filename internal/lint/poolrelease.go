@@ -14,10 +14,10 @@ import (
 // registered acquire function (a function named `Acquire` or `NewTable`
 // whose result has a `Release` method, or a `sync.Pool` `Get`) must reach
 // `Release`/`Put` on every non-panicking exit path. The epoch engine's
-// cktable.Table and the collector's digest buffers live in sync.Pools
-// precisely to keep the steady state allocation-free; one early-return path
-// that skips Release silently turns the pool into a leak and the zero-alloc
-// claim into fiction — without failing any test.
+// cktable.Table lives in a sync.Pool precisely to keep the steady state
+// allocation-free; one early-return path that skips Release silently turns
+// the pool into a leak and the zero-alloc claim into fiction — without
+// failing any test.
 //
 // The analysis is a forward may-leak problem over the CFG: each tracked
 // variable is Unreleased from its acquire until a release (`x.Release()`,

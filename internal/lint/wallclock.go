@@ -32,7 +32,7 @@ var WallClock = &Analyzer{
 
 // wallClockCone is the set of import paths holding the deterministic
 // analysis pipeline: epoch aggregation and clustering, critical-cluster
-// detection, hierarchical heavy hitters, and the distributed merge path.
+// detection, hierarchical heavy hitters, and the aggregator's seal path.
 // corpus/wallclock_basic is the fixture package.
 var wallClockCone = map[string]bool{
 	"repro/internal/core":         true,
@@ -49,7 +49,7 @@ var wallClockCone = map[string]bool{
 
 // wallClockAllow names functions ("Recv.Name" or "Name") excused per
 // package: connection deadlines, graceful-shutdown timeouts, and reconnect
-// backoff are wall-clock-bound by design and sit outside the merge path.
+// backoff are wall-clock-bound by design and sit outside the seal path.
 var wallClockAllow = map[string][]string{
 	"repro/internal/ingest": {
 		// The Listen entry point that starts the heartbeat server.

@@ -113,18 +113,19 @@ func (t Thresholds) ScaleMinSessions(sessionsPerEpoch int) Thresholds {
 
 // Validate reports the first invalid field, if any.
 func (t Thresholds) Validate() error {
+	// Each float check is the negated in-range test, so NaN fails it.
 	switch {
-	case t.BufRatio <= 0 || t.BufRatio >= 1:
+	case !(t.BufRatio > 0 && t.BufRatio < 1):
 		return fmt.Errorf("metric: BufRatio threshold %v out of (0,1)", t.BufRatio)
-	case t.BitrateKbps <= 0:
+	case !(t.BitrateKbps > 0):
 		return fmt.Errorf("metric: BitrateKbps threshold %v must be positive", t.BitrateKbps)
-	case t.JoinTimeMS <= 0:
+	case !(t.JoinTimeMS > 0):
 		return fmt.Errorf("metric: JoinTimeMS threshold %v must be positive", t.JoinTimeMS)
-	case t.ProblemRatioFactor <= 1:
+	case !(t.ProblemRatioFactor > 1):
 		return fmt.Errorf("metric: ProblemRatioFactor %v must exceed 1", t.ProblemRatioFactor)
 	case t.MinClusterSessions < 1:
 		return fmt.Errorf("metric: MinClusterSessions %d must be at least 1", t.MinClusterSessions)
-	case t.MinZScore < 0:
+	case !(t.MinZScore >= 0):
 		return fmt.Errorf("metric: MinZScore %v must be non-negative", t.MinZScore)
 	}
 	return nil
@@ -171,15 +172,16 @@ func (q QoE) Validate() error {
 	if q.JoinFailed {
 		return nil
 	}
+	// Each check is the negated in-range test, so NaN fails it.
 	switch {
-	case q.BufRatio < 0 || q.BufRatio > 1:
+	case !(q.BufRatio >= 0 && q.BufRatio <= 1):
 		return fmt.Errorf("metric: buffering ratio %v out of [0,1]", q.BufRatio)
-	case q.BitrateKbps < 0:
-		return fmt.Errorf("metric: negative bitrate %v", q.BitrateKbps)
-	case q.JoinTimeMS < 0:
-		return fmt.Errorf("metric: negative join time %v", q.JoinTimeMS)
-	case q.DurationS < 0:
-		return fmt.Errorf("metric: negative duration %v", q.DurationS)
+	case !(q.BitrateKbps >= 0):
+		return fmt.Errorf("metric: bitrate %v not a non-negative number", q.BitrateKbps)
+	case !(q.JoinTimeMS >= 0):
+		return fmt.Errorf("metric: join time %v not a non-negative number", q.JoinTimeMS)
+	case !(q.DurationS >= 0):
+		return fmt.Errorf("metric: duration %v not a non-negative number", q.DurationS)
 	}
 	return nil
 }

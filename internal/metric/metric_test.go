@@ -69,6 +69,28 @@ func TestThresholdsValidate(t *testing.T) {
 	}
 }
 
+// TestThresholdsValidateRejectsNaN: a NaN in any float threshold is
+// rejected, not read as in range because every comparison with it is false.
+func TestThresholdsValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		set  func(*Thresholds)
+	}{
+		{"BufRatio", func(th *Thresholds) { th.BufRatio = nan }},
+		{"BitrateKbps", func(th *Thresholds) { th.BitrateKbps = nan }},
+		{"JoinTimeMS", func(th *Thresholds) { th.JoinTimeMS = nan }},
+		{"ProblemRatioFactor", func(th *Thresholds) { th.ProblemRatioFactor = nan }},
+		{"MinZScore", func(th *Thresholds) { th.MinZScore = nan }},
+	} {
+		th := Default()
+		c.set(&th)
+		if err := th.Validate(); err == nil {
+			t.Errorf("NaN %s: Validate() = nil, want error", c.name)
+		}
+	}
+}
+
 func TestProblemClassification(t *testing.T) {
 	th := Default()
 	cases := []struct {
@@ -169,5 +191,21 @@ func TestQoEValidate(t *testing.T) {
 	// A failed join skips the physical checks: the fields are undefined.
 	if err := (QoE{JoinFailed: true, BufRatio: -1}).Validate(); err != nil {
 		t.Errorf("failed-join Validate = %v, want nil", err)
+	}
+}
+
+// TestQoEValidateRejectsNaN: a NaN in any measured field is rejected, not
+// read as in range because every comparison with it is false.
+func TestQoEValidateRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, q := range []QoE{
+		{BufRatio: nan, BitrateKbps: 100, JoinTimeMS: 10, DurationS: 5},
+		{BufRatio: 0.5, BitrateKbps: nan, JoinTimeMS: 10, DurationS: 5},
+		{BufRatio: 0.5, BitrateKbps: 100, JoinTimeMS: nan, DurationS: 5},
+		{BufRatio: 0.5, BitrateKbps: 100, JoinTimeMS: 10, DurationS: nan},
+	} {
+		if err := q.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", q)
+		}
 	}
 }

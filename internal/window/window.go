@@ -275,7 +275,7 @@ func (e *Engine) openRecycled(t Tick, lites []cluster.Lite) {
 }
 
 // Snapshot assembles the closed window as a cluster.Table for analysis
-// (core.AnalyzeEpochTable, hhh.DetectFromTable). The table's Epoch is the
+// (core.AnalyzeEpochTable). The table's Epoch is the
 // epoch containing the last sealed tick; its Sessions are the window's
 // digests in tick order — the order the batch path would see them in.
 //
