@@ -70,16 +70,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*epochs, *sessions, time.Since(start).Round(time.Millisecond))
 
 	w := stdout
+	var out *os.File
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+		if out, err = os.Create(*outPath); err != nil {
 			return fail(err)
 		}
-		defer f.Close()
-		w = f
+		defer out.Close() // for the error paths; success checks Close below
+		w = out
 	}
 	if err := render(w, suite, *fig, *table, *ablations); err != nil {
 		return fail(err)
+	}
+	if out != nil {
+		if err := out.Close(); err != nil {
+			return fail(err)
+		}
 	}
 	return 0
 }

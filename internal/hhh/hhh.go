@@ -36,8 +36,8 @@ type Config struct {
 // DefaultConfig returns the baseline settings used by the ablation.
 func DefaultConfig() Config { return Config{Phi: 0.02, MaxDims: attr.NumDims} }
 
-// validate reports the first invalid field. The range checks are written
-// in their negated in-range form so a NaN Phi fails them.
+// validate reports the first invalid field. The Phi check is written in
+// its negated in-range form so a NaN fails it.
 func (c Config) validate() error {
 	if !(c.Phi > 0 && c.Phi < 1) {
 		return fmt.Errorf("hhh: Phi %v out of (0,1)", c.Phi)
